@@ -126,15 +126,6 @@ def _member_label(index: int, p: CaratheodoryFunction) -> str:
     return f"{index}:{p.spec_dict.get('type', 'unknown')}"
 
 
-def _member_profile(
-    p: CaratheodoryFunction, radii: Sequence[float], trunc_degree: int
-) -> MeansProfile:
-    f = p.log_sparse()
-    if f is None:
-        f = p.log_taylor(trunc_degree)
-    return parseval_means(f, radii)
-
-
 def _decreasing_or_zero(tail: Sequence[float]) -> bool:
     if all(v <= ZERO_LEVEL for v in tail):
         return True
@@ -168,7 +159,7 @@ def corollary_report(
     grid = list(radii) if radii is not None else geometric_radii(0.5, 0.5, 20)
     report = Report(gauge=phi.label(), constant=constant)
 
-    profiles = [_member_profile(p, grid, trunc_degree) for p in suite]
+    profiles = [parseval_means(p.log_coeffs(trunc_degree), grid) for p in suite]
 
     # (i) uniform bound with the explicit constant
     worst = -math.inf
@@ -250,12 +241,7 @@ def corollary_report(
         ),
         None,
     )
-    if star is None:
-        report.parts["least_exponent"] = {
-            "status": "not_applicable",
-            "pass": None,
-        }
-    elif min(int(star[1].spec_dict["k_max"]), 53) < 5:
+    if star is None or min(int(star[1].spec_dict["k_max"]), 53) < 5:
         report.parts["least_exponent"] = {
             "status": "not_applicable",
             "pass": None,

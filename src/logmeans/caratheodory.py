@@ -22,7 +22,15 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ImaginaryBoundViolated, InvalidMeasure, OutsideDisc
-from .series import DenseSeries, SparseSeries, densify, exp_series, log_series
+from .series import (
+    AnySeries,
+    DenseSeries,
+    SparseSeries,
+    densify,
+    evaluate,
+    exp_series,
+    log_series,
+)
 
 DEFAULT_MARGIN = 1e-9
 
@@ -41,14 +49,23 @@ class HerglotzSpec:
     def __init__(self, atoms: Sequence[Tuple[float, float]], im_p0: float = 0.0):
         if len(atoms) == 0:
             raise InvalidMeasure("at least one atom required")
+        im_p0 = float(im_p0)
+        if not math.isfinite(im_p0):
+            raise InvalidMeasure(f"im_p0 {im_p0!r} must be finite")
         norm = []
         for theta, weight in atoms:
-            w = float(weight)
+            t, w = float(theta), float(weight)
             if not (w > 0.0) or not math.isfinite(w):
                 raise InvalidMeasure(f"weight {w!r} must be strictly positive")
-            norm.append((float(theta) % (2.0 * math.pi), w))
+            if not math.isfinite(t):
+                raise InvalidMeasure(f"angle {t!r} must be finite")
+            norm.append((t % (2.0 * math.pi), w))
+        try:
+            math.fsum(w for _, w in norm)
+        except OverflowError:
+            raise InvalidMeasure("total mass overflows a double") from None
         object.__setattr__(self, "atoms", tuple(norm))
-        object.__setattr__(self, "im_p0", float(im_p0))
+        object.__setattr__(self, "im_p0", im_p0)
 
     @property
     def total_mass(self) -> float:
@@ -69,17 +86,66 @@ class ByImaginaryBound:
 
 @dataclass(frozen=True)
 class Mobius:
-    pass
+    """(1+z)/(1-z): Taylor coefficients 1, 2, 2, ...; log-coefficients 2/n
+    at odd n."""
+
+    def taylor(self, degree: int) -> DenseSeries:
+        out = np.full(degree + 1, 2.0, dtype=np.complex128)
+        out[0] = 1.0
+        return DenseSeries(out)
+
+    def log_taylor(self, degree: int) -> DenseSeries:
+        out = np.zeros(degree + 1, dtype=np.complex128)
+        odd = np.arange(1, degree + 1, 2)
+        out[odd] = 2.0 / odd
+        return DenseSeries(out)
+
+    def value(self, z: complex) -> complex:
+        return (1.0 + z) / (1.0 - z)
 
 
 @dataclass(frozen=True)
 class Herglotz:
+    """Kernel sum; closed-form Taylor coefficients, log by recurrence."""
+
     spec: HerglotzSpec
+
+    def taylor(self, degree: int) -> DenseSeries:
+        thetas = np.array([t for t, _ in self.spec.atoms])
+        weights = np.array([w for _, w in self.spec.atoms])
+        out = np.empty(degree + 1, dtype=np.complex128)
+        out[0] = self.spec.total_mass + 1j * self.spec.im_p0
+        if degree >= 1:
+            n = np.arange(1, degree + 1)
+            # b_n = 2 * sum_j w_j * conj(zeta_j)^n
+            out[1:] = 2.0 * (np.exp(-1j * np.outer(n, thetas)) @ weights)
+        return DenseSeries(out)
+
+    def log_taylor(self, degree: int) -> DenseSeries:
+        return log_series(self.taylor(degree))
+
+    def value(self, z: complex) -> complex:
+        acc = 1j * self.spec.im_p0
+        for theta, w in self.spec.atoms:
+            zeta = cmath.exp(1j * theta)
+            acc += w * (zeta + z) / (zeta - z)
+        return acc
 
 
 @dataclass(frozen=True)
 class LacunaryExp:
+    """exp(F) for a sparse F; the log-coefficients are F itself."""
+
     series: SparseSeries
+
+    def taylor(self, degree: int) -> DenseSeries:
+        return exp_series(densify(self.series, degree))
+
+    def log_taylor(self, degree: int) -> DenseSeries:
+        return densify(self.series, degree)
+
+    def value(self, z: complex) -> complex:
+        return cmath.exp(evaluate(self.series, z))
 
 
 @dataclass
@@ -97,9 +163,9 @@ class CertReport:
 class CaratheodoryFunction:
     """A function with positive real part together with its certificate.
 
-    Taylor and log-Taylor coefficients are materialized lazily per requested
-    truncation degree and cached.  Cache fills are idempotent (same key, same
-    value), so unsynchronized concurrent first access is harmless.
+    Log-Taylor coefficients are materialized lazily per requested truncation
+    degree and cached.  Cache fills are idempotent (same key, same value),
+    so unsynchronized concurrent first access is harmless.
     """
 
     def __init__(self, construction, certificate, spec_dict: Optional[Dict] = None):
@@ -107,24 +173,17 @@ class CaratheodoryFunction:
         self.certificate = certificate
         self.spec_dict = spec_dict or {"type": "lacunary"}
         self.schedule = None  # set by the gauge-adapted builder
-        self._taylor_cache: Dict[int, DenseSeries] = {}
         self._log_cache: Dict[int, DenseSeries] = {}
-
-    # -- coefficient access ------------------------------------------------
 
     def taylor(self, degree: int) -> DenseSeries:
         """Taylor coefficients of p to the given truncation degree."""
-        got = self._taylor_cache.get(degree)
-        if got is None:
-            got = self._materialize_taylor(degree)
-            self._taylor_cache[degree] = got
-        return got
+        return self.construction.taylor(degree)
 
     def log_taylor(self, degree: int) -> DenseSeries:
         """Taylor coefficients of log(p) to the given truncation degree."""
         got = self._log_cache.get(degree)
         if got is None:
-            got = self._materialize_log(degree)
+            got = self.construction.log_taylor(degree)
             self._log_cache[degree] = got
         return got
 
@@ -134,53 +193,17 @@ class CaratheodoryFunction:
             return self.construction.series
         return None
 
-    def _materialize_taylor(self, degree: int) -> DenseSeries:
-        c = self.construction
-        if isinstance(c, Mobius):
-            out = np.full(degree + 1, 2.0, dtype=np.complex128)
-            out[0] = 1.0
-            return DenseSeries(out)
-        if isinstance(c, Herglotz):
-            thetas = np.array([t for t, _ in c.spec.atoms])
-            weights = np.array([w for _, w in c.spec.atoms])
-            out = np.empty(degree + 1, dtype=np.complex128)
-            out[0] = c.spec.total_mass + 1j * c.spec.im_p0
-            if degree >= 1:
-                n = np.arange(1, degree + 1)
-                # b_n = 2 * sum_j w_j * conj(zeta_j)^n
-                out[1:] = 2.0 * (np.exp(-1j * np.outer(n, thetas)) @ weights)
-            return DenseSeries(out)
-        return exp_series(densify(c.series, degree))
-
-    def _materialize_log(self, degree: int) -> DenseSeries:
-        c = self.construction
-        if isinstance(c, Mobius):
-            out = np.zeros(degree + 1, dtype=np.complex128)
-            odd = np.arange(1, degree + 1, 2)
-            out[odd] = 2.0 / odd
-            return DenseSeries(out)
-        if isinstance(c, LacunaryExp):
-            return densify(c.series, degree)
-        return log_series(self.taylor(degree))
-
-    # -- point evaluation ----------------------------------------------------
+    def log_coeffs(self, degree: int) -> AnySeries:
+        """The exact sparse log-coefficients when there are any, else the
+        dense ones to the given truncation degree."""
+        sparse = self.log_sparse()
+        return sparse if sparse is not None else self.log_taylor(degree)
 
     def __call__(self, z: complex) -> complex:
         z = complex(z)
         if abs(z) > 1.0 + 1e-15:
             raise OutsideDisc(f"|z| = {abs(z):.6f} > 1")
-        c = self.construction
-        if isinstance(c, Mobius):
-            return (1.0 + z) / (1.0 - z)
-        if isinstance(c, Herglotz):
-            acc = 1j * c.spec.im_p0
-            for theta, w in c.spec.atoms:
-                zeta = cmath.exp(1j * theta)
-                acc += w * (zeta + z) / (zeta - z)
-            return acc
-        from .series import evaluate  # local import keeps module load light
-
-        return cmath.exp(evaluate(c.series, z))
+        return self.construction.value(z)
 
     def __repr__(self) -> str:
         return (

@@ -10,10 +10,9 @@ Commands:
 
 Outputs are byte-deterministic: floats are printed with 17 significant
 digits in scientific notation, files are written atomically, and rerunning
-the same command reproduces identical bytes.  Errors exit nonzero after
-printing a machine-readable JSON record on stderr.
-
-MEANS_THREADS caps internal parallelism over radii (default 1).
+the same command reproduces identical bytes.  Errors, malformed input
+included, exit with code 2 after printing a machine-readable JSON record on
+stderr.
 """
 
 from __future__ import annotations
@@ -27,43 +26,36 @@ from typing import List, Optional, Sequence
 from .analysis import UNIFORM_CONSTANT, corollary_report
 from .caratheodory import CaratheodoryFunction
 from .errors import ParseError, QuadratureInfeasible, ToolkitError
-from .extremal import Gauge, gauge_sweep, star_sweep
+from .extremal import Gauge, critical_radii_star, gauge_sweep, star_sweep
 from .jsonio import atomic_write_text, dumps_canonical, format_float, int_str
 from .means import geometric_radii, h2_sum, parseval_means, quadrature_means
-from .specs import function_spec_of, parse_function_spec
+from .specs import parse_function_spec
 
 H2_CEILING = math.pi ** 2 / 2.0
 
 
-def parse_gauge(text: str) -> Gauge:
-    """Parse "pow:<a>" or "powlog:<a>,<b>" into a gauge."""
-    return Gauge.from_string(text)
+def _at_least(value: int, minimum: int, flag: str) -> int:
+    if value < minimum:
+        raise ParseError(f"{flag} must be >= {minimum}, got {value}")
+    return value
 
 
 def _parse_radii_spec(text: str) -> List[float]:
     """geometric:<start>,<factor>,<count> or critical-star:<k_max>."""
-    if text.startswith("geometric:"):
-        body = text[len("geometric:"):]
-        parts = body.split(",")
-        if len(parts) != 3:
-            raise ParseError(
-                f"geometric radii need start,factor,count: {text!r}"
-            )
-        try:
-            start, factor = float(parts[0]), float(parts[1])
-            count = int(parts[2])
-        except ValueError as exc:
-            raise ParseError(f"bad geometric radii {text!r}: {exc}") from None
-        return geometric_radii(start, factor, count)
-    if text.startswith("critical-star:"):
-        body = text[len("critical-star:"):]
-        try:
-            k_max = int(body)
-        except ValueError:
-            raise ParseError(f"bad critical-star radii {text!r}") from None
-        from .extremal import critical_radii_star
-
-        return critical_radii_star(k_max)
+    kind, _, body = text.partition(":")
+    try:
+        if kind == "geometric":
+            parts = body.split(",")
+            if len(parts) != 3:
+                raise ParseError(
+                    f"geometric radii need start,factor,count: {text!r}"
+                )
+            start, factor, count = float(parts[0]), float(parts[1]), int(parts[2])
+            return geometric_radii(start, factor, count)
+        if kind == "critical-star":
+            return critical_radii_star(int(body))
+    except ValueError as exc:
+        raise ParseError(f"bad {kind} radii {text!r}: {exc}") from None
     raise ParseError(
         f"radii spec must start with 'geometric:' or 'critical-star:': {text!r}"
     )
@@ -72,8 +64,11 @@ def _parse_radii_spec(text: str) -> List[float]:
 def _load_spec(text: str) -> CaratheodoryFunction:
     """Inline JSON, or @path to read the spec from a file."""
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as handle:
-            text = handle.read()
+        try:
+            with open(text[1:], "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read spec file {text[1:]!r}: {exc}") from None
     return parse_function_spec(text)
 
 
@@ -111,28 +106,30 @@ def _write_output(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
-        atomic_write_text(path, text)
+        try:
+            atomic_write_text(path, text)
+        except OSError as exc:
+            raise ParseError(f"cannot write output {path!r}: {exc}") from None
 
 
 def _cmd_means(args) -> str:
+    trunc = _at_least(args.trunc, 1, "--trunc")
     p = _load_spec(args.spec)
     radii = _parse_radii_spec(args.radii)
-    f = p.log_sparse()
-    if f is None:
-        f = p.log_taylor(args.trunc)
-    profile = parseval_means(f, radii)
-    quad_points = args.quad_points
-    if quad_points is None:
-        quad_points = 2 * args.trunc + 1
-    elif 0 < quad_points < 2 * args.trunc + 1:
+    profile = parseval_means(p.log_coeffs(trunc), radii)
+    if args.quad_points is None:
+        quad_points = 2 * trunc + 1
+    else:
+        quad_points = _at_least(args.quad_points, 0, "--quad-points")
+    if 0 < quad_points < 2 * trunc + 1:
         raise ParseError(
-            f"quadrature needs at least 2*trunc+1 = {2 * args.trunc + 1} "
+            f"quadrature needs at least 2*trunc+1 = {2 * trunc + 1} "
             f"points, got {quad_points}"
         )
     quad = None
     if quad_points > 0:
         try:
-            quad = quadrature_means(p, radii, quad_points, args.trunc)
+            quad = quadrature_means(p, radii, quad_points, trunc)
         except QuadratureInfeasible:
             quad = None  # sparse exponents too large; coefficient route only
     columns = ["r", "I_parseval", "tail_bound"]
@@ -153,14 +150,13 @@ def _cmd_means(args) -> str:
         rows.append(row)
     if args.format == "csv":
         return _render_csv(columns, rows)
-    return _render_json("means", columns, rows, function_spec_of(p))
+    return _render_json("means", columns, rows, p.spec_dict)
 
 
 def _cmd_h2(args) -> str:
+    trunc = _at_least(args.trunc, 1, "--trunc")
     p = _load_spec(args.spec)
-    f = p.log_sparse()
-    if f is None:
-        f = p.log_taylor(args.trunc)
+    f = p.log_coeffs(trunc)
     total = h2_sum(f)
     rows = [
         {
@@ -175,11 +171,11 @@ def _cmd_h2(args) -> str:
     columns = ["terms", "h2_sum", "ceiling", "margin"]
     if args.format == "csv":
         return _render_csv(columns, rows)
-    return _render_json("h2", columns, rows, function_spec_of(p))
+    return _render_json("h2", columns, rows, p.spec_dict)
 
 
 def _cmd_star(args) -> str:
-    rows = star_sweep(args.kmax)
+    rows = star_sweep(_at_least(args.kmax, 1, "--kmax"))
     columns = ["k", "r_k", "means", "lower_bound", "ratio_to_lower"]
     if args.format == "csv":
         return _render_csv(columns, rows)
@@ -188,9 +184,12 @@ def _cmd_star(args) -> str:
 
 
 def _cmd_gauge(args) -> str:
-    phi = parse_gauge(args.phi)
-    budget = int(args.budget) if args.budget is not None else None
-    _, rows = gauge_sweep(phi, args.kmax, budget)
+    phi = Gauge.from_string(args.phi)
+    try:
+        budget = int(args.budget) if args.budget is not None else None
+    except ValueError:
+        raise ParseError(f"--budget must be an integer: {args.budget!r}") from None
+    _, rows = gauge_sweep(phi, _at_least(args.kmax, 1, "--kmax"), budget)
     columns = ["k", "n_k", "ratio", "floor", "ratio_to_floor"]
     if args.format == "csv":
         return _render_csv(columns, rows)
@@ -227,7 +226,7 @@ def canonical_suite(gauge: Gauge, k_max_star: int, k_max_gauge: int):
 
 
 def _cmd_report(args) -> str:
-    phi = parse_gauge(args.gauge)
+    phi = Gauge.from_string(args.gauge)
     suite = canonical_suite(phi, args.kmax_star, args.kmax_gauge)
     report = corollary_report(suite, phi, constant=args.constant)
     return report.to_json()

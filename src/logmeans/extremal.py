@@ -9,6 +9,13 @@ gauge that vanishes relative to the ceiling: exponents n_k are chosen
 minimally with gauge(exp(-1/n_k)) <= n_k^2 / k^8, which forces the means to
 overtake the gauge by a factor k^4 along exp(-1/n_k).
 
+For every gauge that satisfies the hypothesis the admissibility margin
+h(n) = 2 log n - 8 log k - log gauge(exp(-1/n)) is strictly increasing in n.
+With L = -log(1 - exp(-1/n)) the log gauge is a*L - b*log(1+L), and
+dL/dn = 1/(n^2 (e^(1/n) - 1)) <= 1/n, so h'(n) >= (2-a)/n + b*L'/(1+L) > 0
+whenever a < 2, or a = 2 and b > 0.  The admissible n therefore form a
+half-line and plain bisection finds its first integer exactly.
+
 Schedule exponents routinely leave the double range (for gauges close to the
 ceiling they reach exp(k^4) and beyond), so everything downstream of the
 search works either with exact integers in log space or with ordinary floats,
@@ -19,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from .caratheodory import CaratheodoryFunction, from_lacunary
 from .errors import (
@@ -29,20 +36,14 @@ from .errors import (
     RadiusOutOfRange,
     SearchBudgetExceeded,
 )
-from .means import parseval_log_value_at_inv_n, parseval_value_at_neglog
+from .means import TWO_PI, parseval_log_value_at_inv_n, parseval_value_at_neglog
 from .numerics import DIRECT_N_LIMIT, gap_from_inv_n, neglog_gap_from_inv_n
 from .series import SparseSeries
-
-TWO_PI = 2.0 * math.pi
 
 # Means floor coefficient along the adapted radii: pi * e^-2 / 2.
 FLOOR_COEFF = math.pi * math.exp(-2.0) / 2.0
 
 MAX_STAR_INDEX = 62  # exponent 2^k must fit a 64-bit signed width
-
-_LINEAR_BRACKET = 4096  # scan brackets up to this width instead of bisecting
-_SCAN_CAP = 10 ** 7  # refuse unbounded linear scans over erratic gauges
-_CALLABLE_DEFAULT_BUDGET = 10 ** 15
 
 
 @dataclass(frozen=True)
@@ -110,34 +111,10 @@ class Gauge:
                     f"invalid number {part!r} at position {pos} in {text!r}"
                 ) from None
             pos += len(part) + 1
-        if len(numbers) == 1:
-            return cls(numbers[0], 0.0)
-        return cls(numbers[0], numbers[1])
-
-
-class CallableGauge:
-    """In-process wrapper for an arbitrary positive gauge r -> value.
-
-    No structural growth check is possible, so schedule searches are capped
-    by a budget and only reach radii representable as doubles.
-    """
-
-    def __init__(self, fn: Callable[[float], float]):
-        self._fn = fn
-
-    def value(self, r: float) -> float:
-        if not (0.0 < r < 1.0):
-            raise RadiusOutOfRange(f"radius {r!r} not in (0, 1)")
-        v = float(self._fn(r))
-        if not (v > 0.0 and math.isfinite(v)):
-            raise ValueError(f"gauge value {v!r} must be positive and finite")
-        return v
-
-    def value_from_gap(self, gap: float) -> float:
-        return self.value(1.0 - gap)
-
-
-GaugeLike = Union[Gauge, CallableGauge]
+        try:
+            return cls(*numbers)
+        except ValueError as exc:
+            raise ParseError(f"invalid gauge {text!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -145,7 +122,6 @@ class ExponentSchedule:
     """Strictly increasing exponents for the gauge-adapted construction."""
 
     n_k: Tuple[int, ...]
-    budget: Optional[int] = None
 
     def __post_init__(self):
         prev = 0
@@ -158,94 +134,45 @@ class ExponentSchedule:
         return len(self.n_k)
 
 
-def _has_log_form(phi: GaugeLike) -> bool:
-    return hasattr(phi, "log_value_from_neglog_gap")
-
-
-def _log_gauge_at_inv_n(phi: GaugeLike, n: int) -> float:
+def _log_gauge_at_inv_n(phi: Gauge, n: int) -> float:
     """log gauge(exp(-1/n)), choosing the same arithmetic the schedule
     predicate uses so inequalities verified there survive verbatim."""
     if n <= DIRECT_N_LIMIT:
         return math.log(phi.value_from_gap(gap_from_inv_n(n)))
-    if not _has_log_form(phi):
-        raise OverflowError("callable gauges cannot reach radii this close to 1")
     return phi.log_value_from_neglog_gap(neglog_gap_from_inv_n(n))
 
 
-def _admissible(phi: GaugeLike, n: int, k: int) -> bool:
+def _admissible(phi: Gauge, n: int, k: int) -> bool:
     """gauge(exp(-1/n)) <= n^2/k^8, evaluated directly in double arithmetic
     whenever representable (exact at integer boundaries), in log space
     otherwise."""
     if n <= DIRECT_N_LIMIT:
         return phi.value_from_gap(gap_from_inv_n(n)) <= (n * n) / (k ** 8)
-    if not _has_log_form(phi):
-        return False
     lhs = phi.log_value_from_neglog_gap(neglog_gap_from_inv_n(n))
     return lhs <= 2.0 * math.log(n) - 8.0 * math.log(k)
 
 
-def _margin(phi: GaugeLike, n: int, k: int) -> float:
-    if n <= DIRECT_N_LIMIT:
-        return (n * n) / (k ** 8) - phi.value_from_gap(gap_from_inv_n(n))
-    lhs = phi.log_value_from_neglog_gap(neglog_gap_from_inv_n(n))
-    return (2.0 * math.log(n) - 8.0 * math.log(k)) - lhs
-
-
-def _margins_look_monotone(phi: GaugeLike, k: int, lo: int, hi: int) -> bool:
-    """Sampled check that the admissibility margin is nondecreasing on
-    (lo, hi]; bisection is only trusted when this holds."""
-    samples = 9
-    points = sorted(
-        {lo + 1 + ((hi - lo - 1) * i) // (samples - 1) for i in range(samples)}
-    )
-    margins = [_margin(phi, n, k) for n in points]
-    return all(m2 >= m1 for m1, m2 in zip(margins, margins[1:]))
-
-
-def _first_admissible_in_bracket(
-    phi: GaugeLike, k: int, lo: int, hi: int
-) -> int:
-    """Smallest admissible n in (lo, hi], given not admissible(lo) and
-    admissible(hi)."""
-    if hi - lo <= _LINEAR_BRACKET or not _margins_look_monotone(phi, k, lo, hi):
-        if hi - lo > _SCAN_CAP:
-            raise SearchBudgetExceeded(
-                f"gauge margin not monotone over a bracket of width "
-                f"{hi - lo}; refusing an unbounded scan at k={k}"
-            )
-        for n in range(lo + 1, hi + 1):
-            if _admissible(phi, n, k):
-                return n
-        return hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _admissible(phi, mid, k):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def choose_schedule(
-    phi: GaugeLike, k_max: int, budget: Optional[int] = None
+    phi: Gauge, k_max: int, budget: Optional[int] = None
 ) -> ExponentSchedule:
     """Minimal strictly increasing exponents with gauge(exp(-1/n_k)) <= n_k^2/k^8.
 
-    Search per index: doubling until admissible, then the smallest admissible
-    integer inside the bracket.  Deterministic for fixed inputs.  Raises
+    Search per index: doubling until admissible, then bisection for the
+    smallest admissible integer inside the bracket.  Bisection is exact
+    because the margin 2 log n - 8 log k - log gauge(exp(-1/n)) is strictly
+    increasing in n for every gauge satisfying the hypothesis (see the
+    module docstring).  Deterministic for fixed inputs.  Raises
     SearchBudgetExceeded when no admissible exponent <= budget exists for
-    some index, and GaugeHypothesisError when a parametric gauge visibly
-    violates the required decay.
+    some index, and GaugeHypothesisError when the gauge violates the
+    required decay.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if isinstance(phi, Gauge) and not phi.satisfies_hypothesis:
+    if not phi.satisfies_hypothesis:
         raise GaugeHypothesisError(
             f"gauge {phi.label()} does not vanish relative to the quadratic "
             f"ceiling (need a < 2, or a = 2 with b > 0)"
         )
-    if budget is None and not _has_log_form(phi):
-        budget = _CALLABLE_DEFAULT_BUDGET
     found: List[int] = []
     prev = 0
     for k in range(1, k_max + 1):
@@ -266,10 +193,16 @@ def choose_schedule(
                         f"no admissible exponent <= {budget} at k={k}"
                     )
                 below, cand = cand, cand * 2
-            n_k = _first_admissible_in_bracket(phi, k, below, cand)
+            while cand - below > 1:  # not admissible(below), admissible(cand)
+                mid = (below + cand) // 2
+                if _admissible(phi, mid, k):
+                    cand = mid
+                else:
+                    below = mid
+            n_k = cand
         found.append(n_k)
         prev = n_k
-    return ExponentSchedule(tuple(found), budget)
+    return ExponentSchedule(tuple(found))
 
 
 def build_p_star(k_max: int) -> CaratheodoryFunction:
@@ -313,7 +246,7 @@ def build_p_phi(schedule: ExponentSchedule) -> CaratheodoryFunction:
 
 def ratio_profile(
     p: CaratheodoryFunction,
-    phi: GaugeLike,
+    phi: Gauge,
     radii: Sequence[float],
     trunc_degree: int = 4096,
 ) -> List[float]:
@@ -322,9 +255,7 @@ def ratio_profile(
     Uses the exact sparse log-coefficients when available, otherwise the
     dense log-coefficients at trunc_degree.
     """
-    f = p.log_sparse()
-    if f is None:
-        f = p.log_taylor(trunc_degree)
+    f = p.log_coeffs(trunc_degree)
     out = []
     for r in radii:
         if not (0.0 < r < 1.0):
@@ -335,7 +266,7 @@ def ratio_profile(
 
 
 def ratio_at_schedule(
-    p: CaratheodoryFunction, phi: GaugeLike, schedule: ExponentSchedule
+    p: CaratheodoryFunction, phi: Gauge, schedule: ExponentSchedule
 ) -> List[float]:
     """means/gauge at the exact adapted radii exp(-1/n_k).
 
@@ -380,7 +311,7 @@ def star_sweep(k_max: int) -> List[dict]:
 
 
 def gauge_sweep(
-    phi: GaugeLike, k_max: int, budget: Optional[int] = None
+    phi: Gauge, k_max: int, budget: Optional[int] = None
 ) -> Tuple[ExponentSchedule, List[dict]]:
     """Schedule plus per-index ratios means/gauge against the k^4 floor."""
     schedule = choose_schedule(phi, k_max, budget)

@@ -19,19 +19,15 @@ does not.  All long sums are accumulated with exact (fsum) summation.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .caratheodory import CaratheodoryFunction
 from .errors import QuadratureInfeasible, RadiusOutOfRange
 from .numerics import exp_neg_scaled, float_ratio, logsumexp, stable_sum
-from .series import DenseSeries, SparseSeries, derivative
-
-AnySeries = Union[DenseSeries, SparseSeries]
+from .series import AnySeries, DenseSeries, SparseSeries
 
 TWO_PI = 2.0 * math.pi
 LOG_TWO_PI = math.log(TWO_PI)
@@ -215,28 +211,17 @@ def _poly_circle_samples(coeffs: np.ndarray, r: float, m: int) -> np.ndarray:
     return np.fft.ifft(folded) * m
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("MEANS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def quadrature_means(
     p: CaratheodoryFunction,
     radii: Sequence[float],
     quadrature_points: int,
     trunc_degree: int,
-    method: str = "polynomial",
 ) -> MeansProfile:
     """Definition-route means profile via the M-point uniform trapezoid rule.
 
-    method="polynomial" (default) integrates |z*F'(z)|^2 with F = log p
-    truncated at trunc_degree; the integrand is then a trigonometric
-    polynomial and the rule is exact once quadrature_points >= 2*trunc+1.
-    method="rational" integrates |z*p'(z)/p(z)|^2 with p materialized
-    densely; kept as a slower-converging cross check.
+    Integrates |z*F'(z)|^2 with F = log p truncated at trunc_degree; the
+    integrand is a trigonometric polynomial, so the rule is exact once
+    quadrature_points >= 2*trunc+1.
 
     Refuses sparse-exponent inputs that would need dense degrees beyond
     2**20 (QuadratureInfeasible); the coefficient route is exact for those.
@@ -251,33 +236,13 @@ def quadrature_means(
         raise QuadratureInfeasible(
             f"max exponent {sparse.max_exponent} exceeds {MAX_QUADRATURE_DEGREE}"
         )
-    if method not in ("polynomial", "rational"):
-        raise ValueError(f"unknown method {method!r}")
-
     m = quadrature_points
-    if method == "polynomial":
-        f = p.log_taylor(trunc_degree)
-        g = np.arange(f.coeffs.size) * f.coeffs  # z*F' has coefficients n*a_n
-
-        def one_radius(r: float) -> float:
-            samples = _poly_circle_samples(g, r, m)
-            return (TWO_PI / m) * stable_sum(np.abs(samples) ** 2)
-
-    else:
-        dense_p = p.taylor(trunc_degree)
-        dense_dp = derivative(dense_p)
-
-        def one_radius(r: float) -> float:
-            pv = _poly_circle_samples(dense_p.coeffs, r, m)
-            dv = _poly_circle_samples(dense_dp.coeffs, r, m)
-            z = r * np.exp(2j * math.pi * np.arange(m) / m)
-            return (TWO_PI / m) * stable_sum(np.abs(z * dv / pv) ** 2)
-
-    workers = _thread_count()
-    if workers > 1 and len(radii) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(one_radius, radii))
-    else:
-        values = [one_radius(r) for r in radii]
-    tails = [tail_bound(trunc_degree, -math.log(r)) for r in radii]
+    f = p.log_taylor(trunc_degree)
+    g = np.arange(f.coeffs.size) * f.coeffs  # z*F' has coefficients n*a_n
+    values = []
+    tails = []
+    for r in radii:
+        samples = _poly_circle_samples(g, r, m)
+        values.append((TWO_PI / m) * stable_sum(np.abs(samples) ** 2))
+        tails.append(tail_bound(trunc_degree, -math.log(r)))
     return MeansProfile(tuple(radii), tuple(values), tuple(tails), "quadrature")

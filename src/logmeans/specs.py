@@ -73,11 +73,6 @@ def parse_function_spec(spec: Union[str, dict]) -> CaratheodoryFunction:
             return p
     except ToolkitError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed {kind!r} spec: {exc}") from None
     raise ParseError(f"unknown function spec type {kind!r}")
-
-
-def function_spec_of(p: CaratheodoryFunction) -> dict:
-    """The JSON-able spec that reconstructs an equivalent function."""
-    return p.spec_dict

@@ -18,7 +18,6 @@ from logmeans import (
     evaluate,
     from_herglotz,
     from_lacunary,
-    function_spec_of,
     mobius,
     parse_function_spec,
 )
@@ -64,6 +63,12 @@ class TestHerglotz:
             HerglotzSpec([(0.0, -1.0)])
         with pytest.raises(InvalidMeasure):
             HerglotzSpec([])
+        with pytest.raises(InvalidMeasure):  # total mass overflows
+            HerglotzSpec([(0.5, 1e308), (2.5, 1e308)])
+        with pytest.raises(InvalidMeasure):
+            HerglotzSpec([(math.inf, 1.0)])
+        with pytest.raises(InvalidMeasure):
+            HerglotzSpec([(0.0, 1.0)], im_p0=math.nan)
 
     def test_coefficient_bound(self):
         spec = HerglotzSpec([(0.1, 0.7), (2.5, 1.1), (5.0, 0.2)], im_p0=-0.4)
@@ -169,7 +174,7 @@ class TestSpecRoundTrip:
     )
     def test_emitted_spec_reparses_equivalent(self, spec):
         p = parse_function_spec(spec)
-        again = parse_function_spec(function_spec_of(p))
+        again = parse_function_spec(p.spec_dict)
         assert np.allclose(
             p.log_taylor(64).coeffs, again.log_taylor(64).coeffs, atol=1e-15
         )

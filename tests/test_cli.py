@@ -6,8 +6,7 @@ import math
 
 import pytest
 
-from logmeans import Gauge, ParseError
-from logmeans.cli import main, parse_gauge
+from logmeans.cli import main
 
 MOBIUS = '{"type":"mobius"}'
 
@@ -16,18 +15,6 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-class TestParseGauge:
-    def test_pow(self):
-        assert parse_gauge("pow:1.5") == Gauge(1.5, 0.0)
-
-    def test_powlog(self):
-        assert parse_gauge("powlog:2,2") == Gauge(2.0, 2.0)
-
-    def test_bad_number(self):
-        with pytest.raises(ParseError):
-            parse_gauge("pow:x")
 
 
 class TestMeansCommand:
@@ -192,6 +179,52 @@ class TestGaugeCommand:
         )
         assert code == 2
         assert json.loads(err)["error"]["name"] == "SearchBudgetExceeded"
+
+
+MALFORMED_ARGV = [
+    ["means", "--spec", "@missing-spec.json"],
+    ["means", "--spec", MOBIUS, "--trunc", "0"],
+    ["means", "--spec", MOBIUS, "--trunc", "-5"],
+    ["h2", "--spec", MOBIUS, "--trunc", "0"],
+    ["star", "--kmax", "0"],
+    ["gauge", "--phi", "pow:1.5", "--kmax", "0"],
+    ["gauge", "--phi", "pow:nan", "--kmax", "4"],
+    [
+        "h2",
+        "--spec",
+        '{"type":"lacunary","terms":[{"exponent":1e400,"re":0.1,"im":0.0}]}',
+    ],
+    [
+        "h2",
+        "--spec",
+        '{"type":"herglotz","atoms":[{"theta":0.5,"weight":1e308},'
+        '{"theta":2.5,"weight":1e308}],"im_p0":0.0}',
+    ],
+    ["means", "--spec", MOBIUS, "--trunc", "64", "--quad-points", "-3"],
+    ["means", "--spec", MOBIUS, "--radii", "geometric:0.5,0.5,0"],
+    ["means", "--spec", MOBIUS, "--radii", "geometric:0.5,1.5,3"],
+    ["means", "--spec", MOBIUS, "--radii", "critical-star:0"],
+    ["means", "--spec", MOBIUS, "--trunc", "8", "--out", "missing-dir/out.csv"],
+    ["gauge", "--phi", "pow:1.5", "--kmax", "3", "--budget", "abc"],
+    ["h2", "--spec", '{"type":"herglotz","atoms":[{"theta":1e400,"weight":1}]}'],
+    [
+        "h2",
+        "--spec",
+        '{"type":"herglotz","atoms":[{"theta":0,"weight":1}],"im_p0":1e400}',
+    ],
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGV, ids=" ".join)
+def test_malformed_input_error_record(argv, capsys):
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    record = json.loads(err)
+    assert set(record) == {"schema", "error"}
+    assert record["schema"] == "v1"
+    assert set(record["error"]) == {"name", "message"}
+    assert isinstance(record["error"]["name"], str)
+    assert isinstance(record["error"]["message"], str)
 
 
 class TestDeterminism:

@@ -122,11 +122,6 @@ class TestQuadrature:
         pv = parseval_means(p.log_taylor(512), [0.5])
         assert quad.values[0] == pytest.approx(pv.values[0], rel=1e-10)
 
-    def test_rational_route_agrees_loosely(self):
-        p = mobius()
-        quad = quadrature_means(p, [0.5], 4096, 512, method="rational")
-        assert quad.values[0] == pytest.approx(mobius_closed_form(0.5), rel=1e-7)
-
     def test_exactness_at_minimal_points(self):
         # trapezoid on a trig polynomial: M = 2N+1 already exact
         p = mobius()
