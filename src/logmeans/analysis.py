@@ -36,6 +36,12 @@ UNIFORM_CONSTANT = math.pi ** 3 * math.exp(-2.0)
 
 ZERO_LEVEL = 1e-30  # below this a means value is treated as exactly zero
 
+# Report settings: part (iv) slope thresholds, dense truncation degree, and
+# the number of trailing grid points whose decay part (ii) checks.
+THRESHOLDS = (0.5, 1.0, 1.5)
+TRUNC_DEGREE = 2048
+TREND_POINTS = 5
+
 
 @dataclass(frozen=True)
 class GrowthFit:
@@ -137,13 +143,9 @@ def corollary_report(
     phi: Gauge,
     *,
     constant: float = UNIFORM_CONSTANT,
-    thresholds: Sequence[float] = (0.5, 1.0, 1.5),
-    radii: Optional[Sequence[float]] = None,
-    trunc_degree: int = 2048,
-    trend_points: int = 5,
 ) -> Report:
     """Assemble the four-part optimality report over a suite of certified
-    functions.
+    functions on the grid geometric_radii(0.5, 0.5, 20).
 
     (i)   uniform bound: (1-r)^2 * means - tail <= constant over the whole
           suite and radius grid;
@@ -152,14 +154,14 @@ def corollary_report(
     (iii) gauge divergence floor ratio >= (pi*e^-2/2)*k^4 for every
           schedule-built member (not applicable when the suite has none);
     (iv)  fitted growth exponent of the dyadic extremal member above every
-          configured threshold (not applicable without that member).
+          of THRESHOLDS (not applicable without that member).
     """
     if len(suite) == 0:
         raise ValueError("suite must be nonempty")
-    grid = list(radii) if radii is not None else geometric_radii(0.5, 0.5, 20)
+    grid = geometric_radii(0.5, 0.5, 20)
     report = Report(gauge=phi.label(), constant=constant)
 
-    profiles = [parseval_means(p.log_coeffs(trunc_degree), grid) for p in suite]
+    profiles = [parseval_means(p.log_coeffs(TRUNC_DEGREE), grid) for p in suite]
 
     # (i) uniform bound with the explicit constant
     worst = -math.inf
@@ -188,7 +190,7 @@ def corollary_report(
         normalized = little_o_check(profile)
         horizon = validity_horizon(profile)
         usable = normalized[:horizon] if horizon >= 3 else normalized
-        window = usable[-trend_points:]
+        window = usable[-TREND_POINTS:]
         ok = _decreasing_or_zero(window)
         all_pass = all_pass and ok
         members[_member_label(index, p)] = {
@@ -254,7 +256,7 @@ def corollary_report(
         star_radii = critical_radii_star(k_max)[lo - 1 : hi]
         profile = parseval_means(p.log_sparse(), star_radii)
         fit = fit_exponent(profile)
-        ok = all(fit.slope > t for t in thresholds)
+        ok = all(fit.slope > t for t in THRESHOLDS)
         report.parts["least_exponent"] = {
             "status": "ok",
             "pass": ok,
@@ -262,7 +264,7 @@ def corollary_report(
             "slope": fit.slope,
             "residual": fit.residual,
             "window_k": [lo, hi],
-            "thresholds": list(thresholds),
-            "margin": fit.slope - max(thresholds),
+            "thresholds": list(THRESHOLDS),
+            "margin": fit.slope - max(THRESHOLDS),
         }
     return report

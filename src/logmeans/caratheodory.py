@@ -32,7 +32,8 @@ from .series import (
     log_series,
 )
 
-DEFAULT_MARGIN = 1e-9
+# Safety margin below pi/2 for the coefficient-magnitude sum.
+MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -231,19 +232,17 @@ def from_herglotz(spec: HerglotzSpec) -> CaratheodoryFunction:
     return CaratheodoryFunction(Herglotz(spec), ByConstruction(), spec_dict)
 
 
-def from_lacunary(
-    f: SparseSeries, margin: float = DEFAULT_MARGIN
-) -> CaratheodoryFunction:
-    """p = exp(F) for a sparse F with sum of |coefficients| < pi/2 - margin.
+def from_lacunary(f: SparseSeries) -> CaratheodoryFunction:
+    """p = exp(F) for a sparse F with sum of |coefficients| < pi/2 - MARGIN.
 
     The coefficient-magnitude sum bounds |Im F| on the closed disc, which
     keeps the image of p inside the right half plane.  Raises
     ImaginaryBoundViolated when the sufficient condition fails.
     """
     bound = f.abs_coeff_sum()
-    if bound >= math.pi / 2.0 - margin:
+    if bound >= math.pi / 2.0 - MARGIN:
         raise ImaginaryBoundViolated(
-            f"sum of |coefficients| = {bound:.12g} reaches pi/2 - {margin:g}"
+            f"sum of |coefficients| = {bound:.12g} reaches pi/2 - {MARGIN:g}"
         )
     spec_dict = {
         "type": "lacunary",

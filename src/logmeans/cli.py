@@ -185,17 +185,11 @@ def _cmd_star(args) -> str:
 
 def _cmd_gauge(args) -> str:
     phi = Gauge.from_string(args.phi)
-    try:
-        budget = int(args.budget) if args.budget is not None else None
-    except ValueError:
-        raise ParseError(f"--budget must be an integer: {args.budget!r}") from None
-    _, rows = gauge_sweep(phi, _at_least(args.kmax, 1, "--kmax"), budget)
+    _, rows = gauge_sweep(phi, _at_least(args.kmax, 1, "--kmax"))
     columns = ["k", "n_k", "ratio", "floor", "ratio_to_floor"]
     if args.format == "csv":
         return _render_csv(columns, rows)
     spec = {"type": "theorem3_gauge", "gauge": phi.label(), "k_max": args.kmax}
-    if budget is not None:
-        spec["budget"] = budget
     return _render_json("gauge", columns, rows, spec)
 
 
@@ -226,14 +220,21 @@ def canonical_suite(gauge: Gauge, k_max_star: int, k_max_gauge: int):
 
 
 def _cmd_report(args) -> str:
+    if not math.isfinite(args.constant):
+        raise ParseError(f"--constant must be finite, got {args.constant!r}")
     phi = Gauge.from_string(args.gauge)
     suite = canonical_suite(phi, args.kmax_star, args.kmax_gauge)
     report = corollary_report(suite, phi, constant=args.constant)
     return report.to_json()
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="logmeans",
         description=(
             "Integral means of normalized logarithmic derivatives for "
@@ -242,11 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, default_format="csv"):
+    def add_io(p):
         p.add_argument("--out", default="-", help="output path, '-' = stdout")
-        p.add_argument(
-            "--format", choices=("csv", "json"), default=default_format
-        )
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_means = sub.add_parser("means", help="means profile over a radius grid")
     p_means.add_argument("--spec", required=True, help="function spec JSON or @file")
@@ -279,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gauge = sub.add_parser("gauge", help="gauge-adapted sweep")
     p_gauge.add_argument("--phi", required=True, help="pow:<a> or powlog:<a>,<b>")
     p_gauge.add_argument("--kmax", type=int, default=12)
-    p_gauge.add_argument("--budget", default=None, help="search cap per index")
     add_io(p_gauge)
     p_gauge.set_defaults(run=_cmd_gauge)
 
@@ -295,9 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         text = args.run(args)
         _write_output(args.out, text)
     except ToolkitError as exc:

@@ -38,11 +38,8 @@ class RadiusOutOfRange(ToolkitError):
 
 
 class ExponentOverflow(ToolkitError):
-    """Requested dyadic exponent does not fit the supported integer width."""
-
-
-class SearchBudgetExceeded(ToolkitError):
-    """Exponent-schedule search hit its cap before finding an admissible term."""
+    """Requested exponent is too large: a dyadic exponent past the supported
+    integer width, or a schedule exponent past the size cap."""
 
 
 class GaugeHypothesisError(ToolkitError):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .caratheodory import CaratheodoryFunction, from_lacunary
 from .errors import (
@@ -34,7 +34,6 @@ from .errors import (
     GaugeHypothesisError,
     ParseError,
     RadiusOutOfRange,
-    SearchBudgetExceeded,
 )
 from .means import TWO_PI, parseval_log_value_at_inv_n, parseval_value_at_neglog
 from .numerics import DIRECT_N_LIMIT, gap_from_inv_n, neglog_gap_from_inv_n
@@ -44,6 +43,14 @@ from .series import SparseSeries
 FLOOR_COEFF = math.pi * math.exp(-2.0) / 2.0
 
 MAX_STAR_INDEX = 62  # exponent 2^k must fit a 64-bit signed width
+
+# Schedule exponents stop at 2^MAX_SCHEDULE_BITS: a 94,548-bit schedule
+# (powlog:2,1 at k=4) already takes about 5 s, and the cost grows with the
+# square of the size.
+MAX_SCHEDULE_BITS = 2 ** 17
+
+# Trunc degree for dense log-coefficients in ratio_profile.
+RATIO_TRUNC_DEGREE = 4096
 
 
 @dataclass(frozen=True)
@@ -152,9 +159,7 @@ def _admissible(phi: Gauge, n: int, k: int) -> bool:
     return lhs <= 2.0 * math.log(n) - 8.0 * math.log(k)
 
 
-def choose_schedule(
-    phi: Gauge, k_max: int, budget: Optional[int] = None
-) -> ExponentSchedule:
+def choose_schedule(phi: Gauge, k_max: int) -> ExponentSchedule:
     """Minimal strictly increasing exponents with gauge(exp(-1/n_k)) <= n_k^2/k^8.
 
     Search per index: doubling until admissible, then bisection for the
@@ -162,9 +167,14 @@ def choose_schedule(
     because the margin 2 log n - 8 log k - log gauge(exp(-1/n)) is strictly
     increasing in n for every gauge satisfying the hypothesis (see the
     module docstring).  Deterministic for fixed inputs.  Raises
-    SearchBudgetExceeded when no admissible exponent <= budget exists for
-    some index, and GaugeHypothesisError when the gauge violates the
-    required decay.
+    GaugeHypothesisError when the gauge violates the required decay.
+
+    Raises ExponentOverflow, before any search, when no exponent below
+    2^MAX_SCHEDULE_BITS can be admissible at k_max.  The check is exact: for
+    n < 2^B, L(n) = -log(1 - exp(-1/n)) <= log n + log 2 < (B+1) log 2, and
+    since log n < L(n), admissibility at k implies
+    (2-a) L(n) + b log1p(L(n)) > 8 log k, whose left side increases with L.
+    The required size grows with k, so checking k_max covers every index.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -173,25 +183,21 @@ def choose_schedule(
             f"gauge {phi.label()} does not vanish relative to the quadratic "
             f"ceiling (need a < 2, or a = 2 with b > 0)"
         )
+    cap = (MAX_SCHEDULE_BITS + 1) * math.log(2.0)
+    if 2.0 * cap - phi.log_value_from_neglog_gap(cap) <= 8.0 * math.log(k_max):
+        raise ExponentOverflow(
+            f"gauge {phi.label()} needs exponents past 2^{MAX_SCHEDULE_BITS} "
+            f"at k={k_max}"
+        )
     found: List[int] = []
     prev = 0
     for k in range(1, k_max + 1):
         lo = prev + 1
-        if budget is not None and lo > budget:
-            raise SearchBudgetExceeded(f"no admissible exponent <= {budget} at k={k}")
         if _admissible(phi, lo, k):
             n_k = lo
         else:
             below, cand = lo, 2 * lo
-            while True:
-                if budget is not None and cand >= budget:
-                    cand = budget
-                if _admissible(phi, cand, k):
-                    break
-                if budget is not None and cand >= budget:
-                    raise SearchBudgetExceeded(
-                        f"no admissible exponent <= {budget} at k={k}"
-                    )
+            while not _admissible(phi, cand, k):
                 below, cand = cand, cand * 2
             while cand - below > 1:  # not admissible(below), admissible(cand)
                 mid = (below + cand) // 2
@@ -248,14 +254,13 @@ def ratio_profile(
     p: CaratheodoryFunction,
     phi: Gauge,
     radii: Sequence[float],
-    trunc_degree: int = 4096,
 ) -> List[float]:
     """means(r) / gauge(r) over an ordinary float radius grid.
 
     Uses the exact sparse log-coefficients when available, otherwise the
-    dense log-coefficients at trunc_degree.
+    dense log-coefficients at RATIO_TRUNC_DEGREE.
     """
-    f = p.log_coeffs(trunc_degree)
+    f = p.log_coeffs(RATIO_TRUNC_DEGREE)
     out = []
     for r in radii:
         if not (0.0 < r < 1.0):
@@ -310,11 +315,9 @@ def star_sweep(k_max: int) -> List[dict]:
     return rows
 
 
-def gauge_sweep(
-    phi: Gauge, k_max: int, budget: Optional[int] = None
-) -> Tuple[ExponentSchedule, List[dict]]:
+def gauge_sweep(phi: Gauge, k_max: int) -> Tuple[ExponentSchedule, List[dict]]:
     """Schedule plus per-index ratios means/gauge against the k^4 floor."""
-    schedule = choose_schedule(phi, k_max, budget)
+    schedule = choose_schedule(phi, k_max)
     p = build_p_phi(schedule)
     ratios = ratio_at_schedule(p, phi, schedule)
     rows = []

@@ -199,16 +199,10 @@ def h2_sum(a: AnySeries) -> float:
 
 
 def _poly_circle_samples(coeffs: np.ndarray, r: float, m: int) -> np.ndarray:
-    """Values of sum c_n z^n at the m-th roots of unity scaled by r.
-
-    Coefficients are folded modulo m first (sampling a degree-N polynomial
-    at m points only sees exponents mod m), then a single inverse FFT gives
-    all samples.
-    """
+    """Values of sum c_n z^n (degree < m) at the m-th roots of unity scaled
+    by r, from a single zero-padded inverse FFT."""
     scaled = coeffs * np.power(r, np.arange(coeffs.size))
-    folded = np.zeros(m, dtype=np.complex128)
-    np.add.at(folded, np.arange(coeffs.size) % m, scaled)
-    return np.fft.ifft(folded) * m
+    return np.fft.ifft(scaled, n=m) * m
 
 
 def quadrature_means(
@@ -220,15 +214,13 @@ def quadrature_means(
     """Definition-route means profile via the M-point uniform trapezoid rule.
 
     Integrates |z*F'(z)|^2 with F = log p truncated at trunc_degree; the
-    integrand is a trigonometric polynomial, so the rule is exact once
-    quadrature_points >= 2*trunc+1.
+    integrand is a trigonometric polynomial, so the rule is exact for the
+    required quadrature_points >= 2*trunc_degree+1 (ValueError otherwise).
 
     Refuses sparse-exponent inputs that would need dense degrees beyond
     2**20 (QuadratureInfeasible); the coefficient route is exact for those.
     """
     _check_radii(radii)
-    if quadrature_points < 2:
-        raise ValueError("need at least 2 quadrature points")
     if trunc_degree < 1:
         raise ValueError("truncation degree must be >= 1")
     sparse = p.log_sparse()
@@ -236,6 +228,8 @@ def quadrature_means(
         raise QuadratureInfeasible(
             f"max exponent {sparse.max_exponent} exceeds {MAX_QUADRATURE_DEGREE}"
         )
+    if quadrature_points < 2 * trunc_degree + 1:
+        raise ValueError("need at least 2*trunc_degree+1 quadrature points")
     m = quadrature_points
     f = p.log_taylor(trunc_degree)
     g = np.arange(f.coeffs.size) * f.coeffs  # z*F' has coefficients n*a_n

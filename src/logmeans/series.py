@@ -21,7 +21,8 @@ import numpy as np
 from .errors import NearZeroConstantTerm, OutsideDisc
 from .numerics import binary_power
 
-DEFAULT_EPS0 = 1e-300
+# |b_0| below this makes the logarithm ill conditioned; log_series refuses.
+EPS0 = 1e-300
 
 
 class DenseSeries:
@@ -152,23 +153,21 @@ def _branch_log(b0: complex, branch_base: complex) -> complex:
     return principal + complex(0.0, 2.0 * math.pi * shift)
 
 
-def log_series(
-    p: DenseSeries, branch_base: complex = 0j, eps0: float = DEFAULT_EPS0
-) -> DenseSeries:
+def log_series(p: DenseSeries, branch_base: complex = 0j) -> DenseSeries:
     """Taylor coefficients of log(p) up to the truncation degree of p.
 
     Uses the recurrence from p*F' = p':
 
         a_n = (n*b_n - sum_{k=1}^{n-1} k*a_k*b_{n-k}) / (n*b_0)
 
-    Raises NearZeroConstantTerm when |b_0| < eps0 (the logarithm would be
-    ill conditioned; certified inputs always have Re b_0 > 0).
+    Raises NearZeroConstantTerm when |b_0| < EPS0 (certified inputs always
+    have Re b_0 > 0).
     """
     b = p.coeffs
     b0 = complex(b[0])
-    if abs(b0) < eps0:
+    if abs(b0) < EPS0:
         raise NearZeroConstantTerm(
-            f"|constant term| = {abs(b0):.3e} below threshold {eps0:.3e}"
+            f"|constant term| = {abs(b0):.3e} below threshold {EPS0:.3e}"
         )
     n_max = p.truncation_degree
     a = np.zeros(n_max + 1, dtype=np.complex128)

@@ -15,7 +15,7 @@ emitted specs re-parse to an equivalent function.
 from __future__ import annotations
 
 import json
-from typing import Optional, Union
+from typing import Union
 
 from .caratheodory import (
     CaratheodoryFunction,
@@ -58,18 +58,12 @@ def parse_function_spec(spec: Union[str, dict]) -> CaratheodoryFunction:
             return build_p_star(int(spec["k_max"]))
         if kind == "theorem3_gauge":
             gauge = Gauge.from_string(str(spec["gauge"]))
-            budget: Optional[int] = (
-                int(spec["budget"]) if "budget" in spec else None
-            )
-            schedule = choose_schedule(gauge, int(spec["k_max"]), budget)
-            p = build_p_phi(schedule)
+            p = build_p_phi(choose_schedule(gauge, int(spec["k_max"])))
             p.spec_dict = {
                 "type": "theorem3_gauge",
                 "gauge": gauge.label(),
                 "k_max": int(spec["k_max"]),
             }
-            if budget is not None:
-                p.spec_dict["budget"] = budget
             return p
     except ToolkitError:
         raise

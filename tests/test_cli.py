@@ -173,12 +173,10 @@ class TestGaugeCommand:
         for row in doc["rows"]:
             assert row["ratio_to_floor"] >= 1.0 - 1e-10
 
-    def test_budget_error(self, capsys):
-        code, _, err = run_cli(
-            ["gauge", "--phi", "pow:1.9", "--kmax", "3", "--budget", "100"], capsys
-        )
+    def test_size_cap_error(self, capsys):
+        code, _, err = run_cli(["gauge", "--phi", "powlog:2,0.5", "--kmax", "6"], capsys)
         assert code == 2
-        assert json.loads(err)["error"]["name"] == "SearchBudgetExceeded"
+        assert json.loads(err)["error"]["name"] == "ExponentOverflow"
 
 
 MALFORMED_ARGV = [
@@ -206,6 +204,15 @@ MALFORMED_ARGV = [
     ["means", "--spec", MOBIUS, "--radii", "critical-star:0"],
     ["means", "--spec", MOBIUS, "--trunc", "8", "--out", "missing-dir/out.csv"],
     ["gauge", "--phi", "pow:1.5", "--kmax", "3", "--budget", "abc"],
+    ["gauge", "--phi", "pow:1.5", "--kmax", "3", "--budget", "100"],
+    ["gauge", "--phi", "powlog:2,0.5", "--kmax", "6"],
+    ["report", "--gauge", "powlog:2,0.5"],
+    ["report", "--constant", "nan"],
+    ["report", "--constant", "inf"],
+    ["means", "--spec", MOBIUS, "--trunc", "abc"],
+    ["gauge", "--kmax", "3"],
+    ["nosuchcommand"],
+    ["star", "--format", "xml"],
     ["h2", "--spec", '{"type":"herglotz","atoms":[{"theta":1e400,"weight":1}]}'],
     [
         "h2",

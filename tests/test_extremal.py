@@ -3,6 +3,7 @@ exponent schedules against brute-force oracles, and the divergence floors."""
 
 import hashlib
 import math
+import time
 
 import pytest
 from mpmath import expm1, log1p, mp, mpf
@@ -16,7 +17,6 @@ from logmeans import (
     GaugeHypothesisError,
     ParseError,
     RadiusOutOfRange,
-    SearchBudgetExceeded,
     build_p_phi,
     build_p_star,
     choose_schedule,
@@ -152,9 +152,13 @@ class TestChooseSchedule:
         # boundary case with the log correction is admitted
         assert Gauge(2.0, 2.0).satisfies_hypothesis
 
-    def test_budget_exceeded(self):
-        with pytest.raises(SearchBudgetExceeded):
-            choose_schedule(Gauge(1.9), 3, budget=1000)
+    def test_size_cap_fails_fast(self):
+        # no exponent below 2^MAX_SCHEDULE_BITS is admissible at k_max
+        for phi, k_max in ((Gauge(2.0, 0.5), 6), (Gauge(2.0, 1.0), 5)):
+            start = time.perf_counter()
+            with pytest.raises(ExponentOverflow):
+                choose_schedule(phi, k_max)
+            assert time.perf_counter() - start < 1.0
 
     def test_determinism(self):
         a = choose_schedule(Gauge(1.9), 6)
@@ -283,7 +287,7 @@ class TestRatios:
         # means ~ (1-r)^-1 for the mobius example: the ratio against the
         # first-power gauge stays inside derived two-sided constants
         grid = [1.0 - 2.0 ** -j for j in range(1, 11)]
-        ratios = ratio_profile(mobius(), Gauge(1.0), grid, trunc_degree=4096)
+        ratios = ratio_profile(mobius(), Gauge(1.0), grid)
         assert all(3.0 <= x <= 7.0 for x in ratios)
 
 

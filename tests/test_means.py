@@ -129,6 +129,11 @@ class TestQuadrature:
         large = quadrature_means(p, [0.6], 4096, 128)
         assert small.values[0] == pytest.approx(large.values[0], rel=1e-13)
 
+    def test_too_few_points_rejected(self):
+        # below 2N+1 points the rule is no longer exact
+        with pytest.raises(ValueError):
+            quadrature_means(mobius(), [0.6], 2 * 128, 128)
+
     def test_sparse_exponent_guard(self):
         p = from_lacunary(star_series(30))  # exponents up to 2^30 > 2^20
         with pytest.raises(QuadratureInfeasible):
