@@ -169,10 +169,10 @@ class CaratheodoryFunction:
     so unsynchronized concurrent first access is harmless.
     """
 
-    def __init__(self, construction, certificate, spec_dict: Optional[Dict] = None):
+    def __init__(self, construction, certificate, spec_dict: Dict):
         self.construction = construction
         self.certificate = certificate
-        self.spec_dict = spec_dict or {"type": "lacunary"}
+        self.spec_dict = spec_dict
         self.schedule = None  # set by the gauge-adapted builder
         self._log_cache: Dict[int, DenseSeries] = {}
 

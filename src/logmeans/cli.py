@@ -24,20 +24,36 @@ import sys
 from typing import List, Optional, Sequence
 
 from .analysis import UNIFORM_CONSTANT, corollary_report
-from .caratheodory import CaratheodoryFunction
+from .caratheodory import CaratheodoryFunction, HerglotzSpec, from_herglotz, mobius
 from .errors import ParseError, QuadratureInfeasible, ToolkitError
-from .extremal import Gauge, critical_radii_star, gauge_sweep, star_sweep
+from .extremal import (
+    Gauge,
+    build_p_star,
+    critical_radii_star,
+    gauge_sweep,
+    star_sweep,
+)
 from .jsonio import atomic_write_text, dumps_canonical, format_float, int_str
 from .means import geometric_radii, h2_sum, parseval_means, quadrature_means
 from .specs import parse_function_spec
 
 H2_CEILING = math.pi ** 2 / 2.0
 
+# Largest --trunc: the O(N^2) log recurrence serves N <= 2^16 (see series;
+# about 5 s there), and far larger dense arrays exhaust memory.
+MAX_TRUNC = 2 ** 16
+
 
 def _at_least(value: int, minimum: int, flag: str) -> int:
     if value < minimum:
         raise ParseError(f"{flag} must be >= {minimum}, got {value}")
     return value
+
+
+def _trunc(value: int) -> int:
+    if value > MAX_TRUNC:
+        raise ParseError(f"--trunc must be <= {MAX_TRUNC}, got {value}")
+    return _at_least(value, 1, "--trunc")
 
 
 def _parse_radii_spec(text: str) -> List[float]:
@@ -82,23 +98,18 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _render_csv(columns: Sequence[str], rows: Sequence[dict]) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_cell(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
-
-
-def _render_json(
-    command: str,
-    columns: Sequence[str],
-    rows: Sequence[dict],
-    function_spec: Optional[dict] = None,
-) -> str:
-    doc = {"schema": "v1", "command": command}
-    if function_spec is not None:
-        doc["function"] = function_spec
-    doc["rows"] = [{c: row[c] for c in columns} for row in rows]
+def _render(args, columns: Sequence[str], rows: Sequence[dict], spec: dict) -> str:
+    """CSV table, or the JSON document for command args.command."""
+    if args.format == "csv":
+        lines = [",".join(columns)]
+        lines += [",".join(_cell(row[c]) for c in columns) for row in rows]
+        return "\n".join(lines) + "\n"
+    doc = {
+        "schema": "v1",
+        "command": args.command,
+        "function": spec,
+        "rows": [{c: row[c] for c in columns} for row in rows],
+    }
     return dumps_canonical(doc)
 
 
@@ -113,116 +124,76 @@ def _write_output(path: str, text: str) -> None:
 
 
 def _cmd_means(args) -> str:
-    trunc = _at_least(args.trunc, 1, "--trunc")
+    trunc = _trunc(args.trunc)
     p = _load_spec(args.spec)
     radii = _parse_radii_spec(args.radii)
     profile = parseval_means(p.log_coeffs(trunc), radii)
-    if args.quad_points is None:
-        quad_points = 2 * trunc + 1
-    else:
-        quad_points = _at_least(args.quad_points, 0, "--quad-points")
-    if 0 < quad_points < 2 * trunc + 1:
-        raise ParseError(
-            f"quadrature needs at least 2*trunc+1 = {2 * trunc + 1} "
-            f"points, got {quad_points}"
-        )
-    quad = None
-    if quad_points > 0:
-        try:
-            quad = quadrature_means(p, radii, quad_points, trunc)
-        except QuadratureInfeasible:
-            quad = None  # sparse exponents too large; coefficient route only
     columns = ["r", "I_parseval", "tail_bound"]
+    rows = [
+        {"r": r, "I_parseval": value, "tail_bound": tail}
+        for r, value, tail in zip(radii, profile.values, profile.tail_bounds)
+    ]
+    try:
+        quad = quadrature_means(p, radii, 2 * trunc + 1, trunc)
+    except QuadratureInfeasible:
+        quad = None  # sparse exponents too large; coefficient route only
     if quad is not None:
         columns += ["I_quadrature", "quad_rel_err"]
-    rows = []
-    for j, r in enumerate(radii):
-        row = {
-            "r": r,
-            "I_parseval": profile.values[j],
-            "tail_bound": profile.tail_bounds[j],
-        }
-        if quad is not None:
-            row["I_quadrature"] = quad.values[j]
-            row["quad_rel_err"] = abs(quad.values[j] - profile.values[j]) / max(
-                profile.values[j], 1e-30
+        for row, value in zip(rows, quad.values):
+            row["I_quadrature"] = value
+            row["quad_rel_err"] = abs(value - row["I_parseval"]) / max(
+                row["I_parseval"], 1e-30
             )
-        rows.append(row)
-    if args.format == "csv":
-        return _render_csv(columns, rows)
-    return _render_json("means", columns, rows, p.spec_dict)
+    return _render(args, columns, rows, p.spec_dict)
 
 
 def _cmd_h2(args) -> str:
-    trunc = _at_least(args.trunc, 1, "--trunc")
+    trunc = _trunc(args.trunc)
     p = _load_spec(args.spec)
     f = p.log_coeffs(trunc)
     total = h2_sum(f)
-    rows = [
-        {
-            "terms": (
-                len(f.terms) if hasattr(f, "terms") else f.truncation_degree
-            ),
-            "h2_sum": total,
-            "ceiling": H2_CEILING,
-            "margin": H2_CEILING - total,
-        }
-    ]
-    columns = ["terms", "h2_sum", "ceiling", "margin"]
-    if args.format == "csv":
-        return _render_csv(columns, rows)
-    return _render_json("h2", columns, rows, p.spec_dict)
+    row = {
+        "terms": len(f.terms) if hasattr(f, "terms") else f.truncation_degree,
+        "h2_sum": total,
+        "ceiling": H2_CEILING,
+        "margin": H2_CEILING - total,
+    }
+    return _render(args, list(row), [row], p.spec_dict)
 
 
 def _cmd_star(args) -> str:
     rows = star_sweep(_at_least(args.kmax, 1, "--kmax"))
     columns = ["k", "r_k", "means", "lower_bound", "ratio_to_lower"]
-    if args.format == "csv":
-        return _render_csv(columns, rows)
     spec = {"type": "theorem2_star", "k_max": args.kmax}
-    return _render_json("star", columns, rows, spec)
+    return _render(args, columns, rows, spec)
 
 
 def _cmd_gauge(args) -> str:
     phi = Gauge.from_string(args.phi)
     _, rows = gauge_sweep(phi, _at_least(args.kmax, 1, "--kmax"))
     columns = ["k", "n_k", "ratio", "floor", "ratio_to_floor"]
-    if args.format == "csv":
-        return _render_csv(columns, rows)
     spec = {"type": "theorem3_gauge", "gauge": phi.label(), "k_max": args.kmax}
-    return _render_json("gauge", columns, rows, spec)
+    return _render(args, columns, rows, spec)
 
 
 def canonical_suite(gauge: Gauge, k_max_star: int, k_max_gauge: int):
-    """The fixed function suite the report command runs on."""
-    suite = [
-        parse_function_spec({"type": "mobius"}),
+    """The fixed function suite the report command runs on.  The gauge
+    member goes through parse_function_spec, which sets its spec."""
+    return [
+        mobius(),
+        from_herglotz(HerglotzSpec([(0.0, 0.5), (math.pi, 0.5)])),
+        build_p_star(k_max_star),
         parse_function_spec(
-            {
-                "type": "herglotz",
-                "atoms": [
-                    {"theta": 0.0, "weight": 0.5},
-                    {"theta": math.pi, "weight": 0.5},
-                ],
-                "im_p0": 0.0,
-            }
-        ),
-        parse_function_spec({"type": "theorem2_star", "k_max": k_max_star}),
-        parse_function_spec(
-            {
-                "type": "theorem3_gauge",
-                "gauge": gauge.label(),
-                "k_max": k_max_gauge,
-            }
+            {"type": "theorem3_gauge", "gauge": gauge.label(), "k_max": k_max_gauge}
         ),
     ]
-    return suite
 
 
 def _cmd_report(args) -> str:
     if not math.isfinite(args.constant):
         raise ParseError(f"--constant must be finite, got {args.constant!r}")
     phi = Gauge.from_string(args.gauge)
+    _at_least(args.kmax_star, 1, "--kmax-star")
     suite = canonical_suite(phi, args.kmax_star, args.kmax_gauge)
     report = corollary_report(suite, phi, constant=args.constant)
     return report.to_json()
@@ -255,12 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="geometric:<start>,<factor>,<count> or critical-star:<k_max>",
     )
     p_means.add_argument("--trunc", type=int, default=2048)
-    p_means.add_argument(
-        "--quad-points",
-        type=int,
-        default=None,
-        help="quadrature points (default 2*trunc+1; 0 disables quadrature)",
-    )
     add_io(p_means)
     p_means.set_defaults(run=_cmd_means)
 

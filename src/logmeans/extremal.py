@@ -92,34 +92,12 @@ class Gauge:
     @classmethod
     def from_string(cls, text: str) -> "Gauge":
         """Parse "pow:<a>" or "powlog:<a>,<b>" (locale-independent floats)."""
-        if text.startswith("pow:"):
-            body, offset = text[4:], 4
-            parts = [body]
-        elif text.startswith("powlog:"):
-            body, offset = text[7:], 7
-            parts = body.split(",")
-            if len(parts) != 2:
-                raise ParseError(
-                    f"powlog gauge needs two comma-separated numbers at "
-                    f"position {offset}: {text!r}"
-                )
-        else:
-            raise ParseError(
-                f"gauge string must start with 'pow:' or 'powlog:' "
-                f"(position 0): {text!r}"
-            )
-        numbers = []
-        pos = offset
-        for part in parts:
-            try:
-                numbers.append(float(part))
-            except ValueError:
-                raise ParseError(
-                    f"invalid number {part!r} at position {pos} in {text!r}"
-                ) from None
-            pos += len(part) + 1
+        kind, _, body = text.partition(":")
+        parts = body.split(",")
+        if (kind, len(parts)) not in (("pow", 1), ("powlog", 2)):
+            raise ParseError(f"gauge must be pow:<a> or powlog:<a>,<b>: {text!r}")
         try:
-            return cls(*numbers)
+            return cls(*map(float, parts))
         except ValueError as exc:
             raise ParseError(f"invalid gauge {text!r}: {exc}") from None
 

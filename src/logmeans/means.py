@@ -1,6 +1,6 @@
 """Quadratic integral means of the normalized logarithmic derivative z*p'/p.
 
-Two independent computations are provided:
+Two computations are provided:
 
 * parseval_means: the coefficient route.  If log p = a_0 + sum a_n z^n then
   the means equal 2*pi * sum n^2 |a_n|^2 r^(2n); the sum runs over the stored
@@ -8,7 +8,9 @@ Two independent computations are provided:
 * quadrature_means: the definition route.  An M-point uniform trapezoid rule
   on the circle of radius r.  With the polynomial integrand z*F'(z) the
   integrand is a trigonometric polynomial, so the rule is exact (up to
-  truncation of F) once M exceeds twice the truncation degree.
+  truncation of F) once M exceeds twice the truncation degree.  F is built
+  from the same log-coefficients a_n, so agreement of the two routes checks
+  the FFT and the summation, not the coefficients.
 
 Tail bounds combine the class-wide coefficient bound sum |a_n|^2 <= pi^2/2
 with monotonicity of n^2 r^(2n) past n = 1/log(1/r), giving
@@ -26,7 +28,7 @@ import numpy as np
 
 from .caratheodory import CaratheodoryFunction
 from .errors import QuadratureInfeasible, RadiusOutOfRange
-from .numerics import exp_neg_scaled, float_ratio, logsumexp, stable_sum
+from .numerics import exp_neg_scaled, float_ratio, logsumexp
 from .series import AnySeries, DenseSeries, SparseSeries
 
 TWO_PI = 2.0 * math.pi
@@ -124,7 +126,7 @@ def parseval_value_at_neglog(a: AnySeries, neglog_r: float) -> float:
         if a.coeffs.size == 1:
             return 0.0
         n, w = _dense_weights(a)
-        return TWO_PI * stable_sum(w * np.exp(-2.0 * neglog_r * n))
+        return TWO_PI * math.fsum(w * np.exp(-2.0 * neglog_r * n))
     terms = []
     for e, c in a.terms:
         ac2 = c.real * c.real + c.imag * c.imag
@@ -136,7 +138,7 @@ def parseval_value_at_neglog(a: AnySeries, neglog_r: float) -> float:
         else:
             ln_term = 2.0 * math.log(e) + math.log(ac2) + math.log(power)
             terms.append(math.exp(ln_term) if ln_term <= 700.0 else math.inf)
-    return TWO_PI * stable_sum(terms)
+    return TWO_PI * math.fsum(terms)
 
 
 def parseval_log_value_at_inv_n(a: SparseSeries, n: int) -> float:
@@ -192,8 +194,8 @@ def h2_sum(a: AnySeries) -> float:
         if c.size == 1:
             return 0.0
         mag2 = c.real[1:] ** 2 + c.imag[1:] ** 2
-        return stable_sum(mag2)
-    return stable_sum(
+        return math.fsum(mag2)
+    return math.fsum(
         c.real * c.real + c.imag * c.imag for _, c in a.terms
     )
 
@@ -216,6 +218,8 @@ def quadrature_means(
     Integrates |z*F'(z)|^2 with F = log p truncated at trunc_degree; the
     integrand is a trigonometric polynomial, so the rule is exact for the
     required quadrature_points >= 2*trunc_degree+1 (ValueError otherwise).
+    F comes from the same log-coefficients parseval_means sums, so this
+    route checks the FFT and the summation, not the coefficients.
 
     Refuses sparse-exponent inputs that would need dense degrees beyond
     2**20 (QuadratureInfeasible); the coefficient route is exact for those.
@@ -237,6 +241,6 @@ def quadrature_means(
     tails = []
     for r in radii:
         samples = _poly_circle_samples(g, r, m)
-        values.append((TWO_PI / m) * stable_sum(np.abs(samples) ** 2))
+        values.append((TWO_PI / m) * math.fsum(np.abs(samples) ** 2))
         tails.append(tail_bound(trunc_degree, -math.log(r)))
     return MeansProfile(tuple(radii), tuple(values), tuple(tails), "quadrature")

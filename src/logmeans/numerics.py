@@ -1,5 +1,5 @@
-"""Low-level numeric helpers: exact summation, log-domain arithmetic, and
-radius representations that stay meaningful when 1 - r underflows a double.
+"""Low-level numeric helpers: log-domain arithmetic, and radius
+representations that stay meaningful when 1 - r underflows a double.
 
 Two radius encodings are used throughout the package:
 
@@ -22,11 +22,6 @@ _LOG_MAX = 709.0  # exp overflows past this
 _EXP_UNDERFLOW = 746.0  # exp(-x) == 0.0 for x beyond this
 
 
-def stable_sum(values: Iterable[float]) -> float:
-    """Exactly rounded sum of floats (Shewchuk accumulation via math.fsum)."""
-    return math.fsum(values)
-
-
 def logsumexp(values: Iterable[float]) -> float:
     """log(sum(exp(v))) without overflow; -inf for an empty or all -inf input."""
     vals = [v for v in values if v != -math.inf]
@@ -35,7 +30,7 @@ def logsumexp(values: Iterable[float]) -> float:
     m = max(vals)
     if m == math.inf:
         return math.inf
-    return m + math.log(stable_sum(math.exp(v - m) for v in vals))
+    return m + math.log(math.fsum(math.exp(v - m) for v in vals))
 
 
 def float_ratio(num: int, den: int) -> float:

@@ -21,7 +21,12 @@ from logmeans import (
     mobius,
     parse_function_spec,
 )
-from logmeans.caratheodory import ByConstruction, ByImaginaryBound
+from logmeans.caratheodory import (
+    ByConstruction,
+    ByImaginaryBound,
+    CaratheodoryFunction,
+    Herglotz,
+)
 
 
 def star_series(k_max):
@@ -178,3 +183,8 @@ class TestSpecRoundTrip:
         assert np.allclose(
             p.log_taylor(64).coeffs, again.log_taylor(64).coeffs, atol=1e-15
         )
+
+    def test_spec_is_required(self):
+        construction = Herglotz(HerglotzSpec([(0.0, 1.0)]))
+        with pytest.raises(TypeError, match="spec_dict"):
+            CaratheodoryFunction(construction, ByConstruction())

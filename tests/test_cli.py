@@ -6,7 +6,9 @@ import math
 
 import pytest
 
-from logmeans.cli import main
+from logmeans import geometric_radii, parse_function_spec, quadrature_means
+from logmeans.cli import MAX_TRUNC, main
+from logmeans.jsonio import format_float
 
 MOBIUS = '{"type":"mobius"}'
 
@@ -67,13 +69,11 @@ class TestMeansCommand:
                 "geometric:0.5,0.5,2",
                 "--trunc",
                 "64",
-                "--quad-points",
-                "0",
             ],
             capsys,
         )
         assert code == 0
-        assert out.split("\n")[0] == "r,I_parseval,tail_bound"
+        assert out.split("\n")[0] == "r,I_parseval,tail_bound,I_quadrature,quad_rel_err"
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
@@ -98,8 +98,6 @@ class TestMeansCommand:
         assert doc["function"] == {"type": "mobius"}
 
     def test_emitted_spec_reparses(self, capsys):
-        from logmeans import parse_function_spec
-
         code, out, _ = run_cli(
             ["gauge", "--phi", "pow:1.0", "--kmax", "4", "--format", "json"],
             capsys,
@@ -109,23 +107,26 @@ class TestMeansCommand:
         p = parse_function_spec(doc["function"])
         assert [row["n_k"] for row in doc["rows"]] == list(p.schedule.n_k)
 
-    def test_underpowered_quadrature_rejected(self, capsys):
-        code, _, err = run_cli(
-            [
-                "means",
-                "--spec",
-                MOBIUS,
-                "--radii",
-                "geometric:0.5,0.5,2",
-                "--trunc",
-                "512",
-                "--quad-points",
-                "64",
+    def test_quadrature_uses_minimal_exact_rule(self, capsys):
+        spec = {
+            "type": "herglotz",
+            "atoms": [
+                {"theta": 0.3, "weight": 0.5},
+                {"theta": 2.1, "weight": 0.3},
+                {"theta": 4.0, "weight": 0.2},
             ],
-            capsys,
+            "im_p0": 0.25,
+        }
+        trunc = 300
+        code, out, _ = run_cli(
+            ["means", "--spec", json.dumps(spec), "--trunc", str(trunc)], capsys
         )
-        assert code == 2
-        assert json.loads(err)["error"]["name"] == "ParseError"
+        assert code == 0
+        p = parse_function_spec(spec)
+        radii = geometric_radii(0.5, 0.5, 20)
+        quad = quadrature_means(p, radii, 2 * trunc + 1, trunc)
+        printed = [line.split(",")[3] for line in out.strip().split("\n")[1:]]
+        assert printed == [format_float(v) for v in quad.values]
 
     def test_bad_radii_spec(self, capsys):
         code, _, err = run_cli(
@@ -137,6 +138,13 @@ class TestMeansCommand:
 
 
 class TestH2Command:
+    def test_trunc_cap_is_inclusive(self, capsys):
+        code, out, _ = run_cli(
+            ["h2", "--spec", MOBIUS, "--trunc", str(MAX_TRUNC)], capsys
+        )
+        assert code == 0
+        assert out.split("\n")[1].split(",")[0] == str(MAX_TRUNC)
+
     def test_runs(self, capsys):
         code, out, _ = run_cli(
             ["h2", "--spec", MOBIUS, "--trunc", "4096", "--format", "json"], capsys
@@ -183,7 +191,9 @@ MALFORMED_ARGV = [
     ["means", "--spec", "@missing-spec.json"],
     ["means", "--spec", MOBIUS, "--trunc", "0"],
     ["means", "--spec", MOBIUS, "--trunc", "-5"],
+    ["means", "--spec", MOBIUS, "--trunc", "65537"],
     ["h2", "--spec", MOBIUS, "--trunc", "0"],
+    ["h2", "--spec", MOBIUS, "--trunc", "300000000"],
     ["star", "--kmax", "0"],
     ["gauge", "--phi", "pow:1.5", "--kmax", "0"],
     ["gauge", "--phi", "pow:nan", "--kmax", "4"],
@@ -209,6 +219,7 @@ MALFORMED_ARGV = [
     ["report", "--gauge", "powlog:2,0.5"],
     ["report", "--constant", "nan"],
     ["report", "--constant", "inf"],
+    ["report", "--kmax-star", "0"],
     ["means", "--spec", MOBIUS, "--trunc", "abc"],
     ["gauge", "--kmax", "3"],
     ["nosuchcommand"],
