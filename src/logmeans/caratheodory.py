@@ -7,9 +7,6 @@ Two analytic certification routes are implemented, and only these:
   with positive weights has positive real part term by term.
 * ByImaginaryBound: p = exp(F) for a sparse F whose coefficient magnitudes
   sum to B < pi/2, so |Im F| <= B and Re p = e^{Re F} * cos(Im F) > 0.
-
-Numeric grid sampling (certify_numeric) is a diagnostic cross-check only; a
-finite grid can never prove positivity on the whole disc.
 """
 
 from __future__ import annotations
@@ -29,11 +26,15 @@ from .series import (
     densify,
     evaluate,
     exp_series,
-    log_series,
+    log_series,  # unused here; perfbench/tracing.py patches this name
 )
 
 # Safety margin below pi/2 for the coefficient-magnitude sum.
 MARGIN = 1e-9
+
+# Block edge of the kernel-sum coefficients: temporaries stay
+# O(N + BLOCK*(J+BLOCK)) values for J atoms.
+BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -107,23 +108,66 @@ class Mobius:
 
 @dataclass(frozen=True)
 class Herglotz:
-    """Kernel sum; closed-form Taylor coefficients, log by recurrence."""
+    """Kernel sum; Taylor and log-Taylor coefficients in closed form.
+
+    p = i*c + sum_j w_j*(zeta_j+z)/(zeta_j-z) is rational with the poles
+    zeta_j = e^{i*theta_j}; as Re p > 0 in the disc, its zeros
+    eta_j = e^{i*psi_j} all lie on the circle (boundary_zeros).  Hence
+    a_0 = log(sum w_j + i*c) on the principal branch and
+    a_n = (sum_j zeta_j^-n - sum_j eta_j^-n)/n, at O(N*J) cost for J
+    distinct atoms (Duren, Univalent Functions, 1983, ch. 1).
+    """
 
     spec: HerglotzSpec
 
     def taylor(self, degree: int) -> DenseSeries:
-        thetas = np.array([t for t, _ in self.spec.atoms])
-        weights = np.array([w for _, w in self.spec.atoms])
-        out = np.empty(degree + 1, dtype=np.complex128)
+        # b_n = 2 * sum_j w_j * zeta_j^-n
+        out = 2.0 * _power_sums(*self._merged_atoms(), degree)
         out[0] = self.spec.total_mass + 1j * self.spec.im_p0
-        if degree >= 1:
-            n = np.arange(1, degree + 1)
-            # b_n = 2 * sum_j w_j * conj(zeta_j)^n
-            out[1:] = 2.0 * (np.exp(-1j * np.outer(n, thetas)) @ weights)
         return DenseSeries(out)
 
+    def _merged_atoms(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The distinct atom angles, sorted, and the summed weight at each."""
+        thetas, weights = np.array(self.spec.atoms).T
+        angles, index = np.unique(thetas, return_inverse=True)
+        return angles, np.bincount(index, weights=weights)
+
+    def boundary_zeros(self) -> np.ndarray:
+        """Angles psi_j of the zeros of p, one on the arc that follows each
+        distinct atom angle, each a double adjacent to the exact zero.
+
+        On |z| = 1, p = i*(c + sum_j w_j*cot((theta - theta_j)/2)), which
+        falls strictly from +inf to -inf along each arc, so one vectorised
+        bisection on its sign brackets every zero down to adjacent doubles;
+        the endpoint with the smaller |p| is returned.
+        """
+        thetas, weights = self._merged_atoms()
+        mass = weights.sum()  # the zeros do not depend on the scale
+        weights, c = weights / mass, self.spec.im_p0 / mass
+        lo = thetas.copy()
+        hi = np.append(thetas[1:], thetas[0] + 2.0 * math.pi)
+        g_lo, g_hi = np.full(lo.size, np.inf), np.full(lo.size, -np.inf)
+        while True:
+            mid = 0.5 * (lo + hi)
+            inside = (lo < mid) & (mid < hi)
+            if not inside.any():
+                return np.where(g_lo <= -g_hi, lo, hi)
+            g = c + np.concatenate([
+                (1.0 / np.tan(0.5 * (mid[i:i + BLOCK, None] - thetas))) @ weights
+                for i in range(0, mid.size, BLOCK)
+            ])
+            up = inside & (g > 0.0)
+            down = inside & ~up
+            lo, g_lo = np.where(up, mid, lo), np.where(up, g, g_lo)
+            hi, g_hi = np.where(down, mid, hi), np.where(down, g, g_hi)
+
     def log_taylor(self, degree: int) -> DenseSeries:
-        return log_series(self.taylor(degree))
+        thetas, _ = self._merged_atoms()
+        angles = np.concatenate([thetas, self.boundary_zeros()])
+        out = _power_sums(angles, np.repeat([1.0, -1.0], thetas.size), degree)
+        out[1:] /= np.arange(1, degree + 1)
+        out[0] = cmath.log(complex(self.spec.total_mass, self.spec.im_p0))
+        return DenseSeries(out)
 
     def value(self, z: complex) -> complex:
         acc = 1j * self.spec.im_p0
@@ -131,6 +175,24 @@ class Herglotz:
             zeta = cmath.exp(1j * theta)
             acc += w * (zeta + z) / (zeta - z)
         return acc
+
+
+def _power_sums(angles: np.ndarray, weights: np.ndarray, degree: int) -> np.ndarray:
+    """sum_j weights_j * exp(-i*n*angles_j) for n = 0..degree.
+
+    With n = m*BLOCK + k the term is exp(-i*m*BLOCK*angle) * exp(-i*k*angle):
+    two factors computed directly from their phases, so rounding does not
+    build up along n as it would through cumulative products, and the sum
+    over j is one matrix product per chunk of angles.
+    """
+    heads = np.arange(degree // BLOCK + 1) * float(BLOCK)
+    steps = np.arange(BLOCK, dtype=np.float64)
+    out = np.zeros((heads.size, BLOCK), dtype=np.complex128)
+    for i in range(0, angles.size, BLOCK):
+        chunk = angles[i:i + BLOCK]
+        head = np.exp(-1j * np.outer(heads, chunk)) * weights[i:i + BLOCK]
+        out += head @ np.exp(-1j * np.outer(chunk, steps))
+    return out.ravel()[: degree + 1]
 
 
 @dataclass(frozen=True)
@@ -147,18 +209,6 @@ class LacunaryExp:
 
     def value(self, z: complex) -> complex:
         return cmath.exp(evaluate(self.series, z))
-
-
-@dataclass
-class CertReport:
-    """Result of sampling Re p on a polar grid (diagnostic, not a proof)."""
-
-    min_re: float
-    argmin_radius: float
-    argmin_theta: float
-    radial_steps: int
-    angular_steps: int
-    passed: bool
 
 
 class CaratheodoryFunction:
@@ -221,8 +271,8 @@ def mobius() -> CaratheodoryFunction:
 def from_herglotz(spec: HerglotzSpec) -> CaratheodoryFunction:
     """Kernel sum p(z) = i*im_p0 + sum_j w_j*(zeta_j+z)/(zeta_j-z).
 
-    Positive by construction; Taylor coefficients are available in closed
-    form (b_0 = i*im_p0 + sum w_j, b_n = 2*sum_j w_j*zeta_j^(-n)).
+    Positive by construction; Taylor coefficients (b_n = 2*sum_j
+    w_j*zeta_j^(-n)) and log-coefficients in closed form (see Herglotz).
     """
     spec_dict = {
         "type": "herglotz",
@@ -252,31 +302,3 @@ def from_lacunary(f: SparseSeries) -> CaratheodoryFunction:
     }
     return CaratheodoryFunction(LacunaryExp(f), ByImaginaryBound(bound), spec_dict)
 
-
-def certify_numeric(
-    p: CaratheodoryFunction, radial_steps: int, angular_steps: int
-) -> CertReport:
-    """Sample Re p on a polar grid with r <= 0.999 and report the minimum.
-
-    Advisory only; the analytic certificate attached to p is authoritative.
-    """
-    if radial_steps < 1 or angular_steps < 1:
-        raise ValueError("grid steps must be >= 1")
-    min_re = math.inf
-    arg_r = arg_t = 0.0
-    for i in range(1, radial_steps + 1):
-        r = 0.999 * i / radial_steps
-        for j in range(angular_steps):
-            theta = 2.0 * math.pi * j / angular_steps
-            value = p(r * cmath.exp(1j * theta))
-            if value.real < min_re:
-                min_re = value.real
-                arg_r, arg_t = r, theta
-    return CertReport(
-        min_re=min_re,
-        argmin_radius=arg_r,
-        argmin_theta=arg_t,
-        radial_steps=radial_steps,
-        angular_steps=angular_steps,
-        passed=min_re > 0.0,
-    )

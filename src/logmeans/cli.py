@@ -39,8 +39,8 @@ from .specs import parse_function_spec
 
 H2_CEILING = math.pi ** 2 / 2.0
 
-# Largest --trunc: the O(N^2) log recurrence serves N <= 2^16 (see series;
-# about 5 s there), and far larger dense arrays exhaust memory.
+# Largest --trunc: far larger dense arrays and quadratures exhaust memory and
+# time (kernel-sum log-coefficients cost O(N*J) for J atoms, see caratheodory).
 MAX_TRUNC = 2 ** 16
 
 

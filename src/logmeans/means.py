@@ -126,7 +126,7 @@ def parseval_value_at_neglog(a: AnySeries, neglog_r: float) -> float:
         if a.coeffs.size == 1:
             return 0.0
         n, w = _dense_weights(a)
-        return TWO_PI * math.fsum(w * np.exp(-2.0 * neglog_r * n))
+        return TWO_PI * math.fsum((w * np.exp(-2.0 * neglog_r * n)).tolist())
     terms = []
     for e, c in a.terms:
         ac2 = c.real * c.real + c.imag * c.imag
@@ -194,7 +194,7 @@ def h2_sum(a: AnySeries) -> float:
         if c.size == 1:
             return 0.0
         mag2 = c.real[1:] ** 2 + c.imag[1:] ** 2
-        return math.fsum(mag2)
+        return math.fsum(mag2.tolist())
     return math.fsum(
         c.real * c.real + c.imag * c.imag for _, c in a.terms
     )
@@ -241,6 +241,6 @@ def quadrature_means(
     tails = []
     for r in radii:
         samples = _poly_circle_samples(g, r, m)
-        values.append((TWO_PI / m) * math.fsum(np.abs(samples) ** 2))
+        values.append((TWO_PI / m) * math.fsum((np.abs(samples) ** 2).tolist()))
         tails.append(tail_bound(trunc_degree, -math.log(r)))
     return MeansProfile(tuple(radii), tuple(values), tuple(tails), "quadrature")

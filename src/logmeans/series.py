@@ -6,8 +6,9 @@ increasing integer exponents; exponents may be arbitrarily large Python
 integers, which is what makes the lacunary constructions representable.
 
 The log/exp conversions use the classical O(N^2) convolution recurrences
-derived from p*F' = p' and p' = F'*p.  They are numerically transparent and
-fast enough for every truncation degree this package needs (N <= 2**16).
+derived from p*F' = p' and p' = F'*p.  No construction takes its
+log-coefficients from log_series: they are exact or, for kernel sums, in
+closed form at O(N*J) cost for J atoms (caratheodory.Herglotz).
 """
 
 from __future__ import annotations
@@ -125,24 +126,6 @@ class SparseSeries:
 
 
 AnySeries = Union[DenseSeries, SparseSeries]
-
-
-def derivative(s: DenseSeries) -> DenseSeries:
-    """Termwise derivative; degree drops by one (constant maps to [0])."""
-    c = s.coeffs
-    if c.size == 1:
-        return DenseSeries([0.0])
-    n = np.arange(1, c.size)
-    return DenseSeries(n * c[1:])
-
-
-def integrate(s: DenseSeries, constant: complex = 0.0) -> DenseSeries:
-    """Termwise antiderivative with the given constant term; degree + 1."""
-    c = s.coeffs
-    out = np.empty(c.size + 1, dtype=np.complex128)
-    out[0] = constant
-    out[1:] = c / np.arange(1, c.size + 1)
-    return DenseSeries(out)
 
 
 def _branch_log(b0: complex, branch_base: complex) -> complex:

@@ -1,9 +1,12 @@
-"""Constructor contracts: closed-form coefficients, certification routes,
-rotation covariance, and the advisory positivity grid."""
+"""Constructor contracts: closed-form coefficients against a 40-digit
+oracle, certification routes, rotation covariance, and positivity sampled
+on a polar grid."""
 
 import cmath
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,13 +17,14 @@ from logmeans import (
     ImaginaryBoundViolated,
     InvalidMeasure,
     SparseSeries,
-    certify_numeric,
     evaluate,
     from_herglotz,
     from_lacunary,
+    log_series,
     mobius,
     parse_function_spec,
 )
+from logmeans import caratheodory, series
 from logmeans.caratheodory import (
     ByConstruction,
     ByImaginaryBound,
@@ -31,6 +35,50 @@ from logmeans.caratheodory import (
 
 def star_series(k_max):
     return SparseSeries([(2 ** k, 0.5j / k ** 2) for k in range(1, k_max + 1)])
+
+
+def certify_numeric(p, radial_steps, angular_steps):
+    """(min Re p, its radius, its angle) over a polar grid with r <= 0.999;
+    a finite grid only cross-checks the analytic certificate."""
+    return min(
+        (p(r * cmath.exp(1j * t)).real, r, t)
+        for r in (0.999 * i / radial_steps for i in range(1, radial_steps + 1))
+        for t in (2.0 * math.pi * j / angular_steps for j in range(angular_steps))
+    )
+
+
+def oracle_log_coeffs(spec, ns, dps=40):
+    """a_n of log p for a kernel sum at the given n, with mpmath at dps
+    digits: zeros of p on the circle by bracketed findroot on each arc
+    between atoms (an unbracketed start can land on a neighbouring arc),
+    each checked by a sign change of p/i across it."""
+    with mpmath.workdps(dps):
+        merged = {}
+        for t, w in spec.atoms:
+            merged[t] = merged.get(t, 0) + mpmath.mpf(w)
+        thetas = [mpmath.mpf(t) for t in sorted(merged)]
+        weights = [merged[t] for t in sorted(merged)]
+        c = mpmath.mpf(spec.im_p0)
+
+        def g(x):  # p(e^{ix}) / i
+            return c + mpmath.fsum(
+                w * mpmath.cot((x - t) / 2) for t, w in zip(thetas, weights)
+            )
+
+        zeros = []
+        eps = mpmath.mpf(10) ** (6 - dps)
+        for lo, hi in zip(thetas, thetas[1:] + [thetas[0] + 2 * mpmath.pi]):
+            gap = (hi - lo) * eps
+            z = mpmath.findroot(g, (lo + gap, hi - gap), solver="anderson", verify=False)
+            assert lo < z < hi and g(z - eps) > 0 > g(z + eps)
+            zeros.append(z)
+        return {
+            n: complex(
+                (mpmath.fsum(mpmath.expj(-n * t) for t in thetas)
+                 - mpmath.fsum(mpmath.expj(-n * z) for z in zeros)) / n
+            )
+            for n in ns
+        }
 
 
 class TestMobius:
@@ -99,6 +147,78 @@ class TestHerglotz:
         assert np.max(np.abs(rotated - expected)) < 1e-13 * scale
 
 
+def random_spec(atoms, seed):
+    rng = random.Random(seed)
+    return HerglotzSpec(
+        [
+            (rng.uniform(0.0, 2.0 * math.pi), math.exp(rng.uniform(-2.3, 2.3)))
+            for _ in range(atoms)
+        ],
+        rng.uniform(-1.0, 1.0),
+    )
+
+
+class TestHerglotzLogCoefficients:
+    """Log-coefficients in closed form from the zeros of p on the circle."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [HerglotzSpec([(0.1, 0.7), (2.5, 1.1), (5.0, 0.2)], -0.4), random_spec(64, 5)],
+        ids=["3-atom", "64-atom"],
+    )
+    def test_at_least_as_accurate_as_the_recurrence(self, spec):
+        # max |n (a_n - oracle)| / max n |oracle| over n sampled up to 2^16
+        degree = 2 ** 16
+        ns = sorted({round(2 ** (16 * k / 40)) for k in range(41)})
+        oracle = oracle_log_coeffs(spec, ns)
+        scale = max(n * abs(oracle[n]) for n in ns)
+        p = Herglotz(spec)
+        closed = p.log_taylor(degree).coeffs
+        recurrence = log_series(p.taylor(degree)).coeffs
+        closed_err = max(n * abs(closed[n] - oracle[n]) for n in ns) / scale
+        recurrence_err = max(n * abs(recurrence[n] - oracle[n]) for n in ns) / scale
+        assert closed_err <= recurrence_err
+        assert closed[0] == recurrence[0]  # same principal branch of log p(0)
+
+    @pytest.mark.parametrize(
+        "theta, weight, im_p0", [(0.0, 1.0, 0.0), (2.0, 0.3, 0.9), (5.5, 4.0, -2.5)]
+    )
+    def test_one_atom_exact(self, theta, weight, im_p0):
+        # the zero is -zeta*(w + i*c)/(w - i*c), so a_n = zeta^-n (1 - (-q)^n)/n
+        # with q = (w - i*c)/(w + i*c)
+        a = Herglotz(HerglotzSpec([(theta, weight)], im_p0)).log_taylor(2 ** 16).coeffs
+        with mpmath.workdps(40):
+            q = mpmath.mpc(weight, -im_p0) / mpmath.mpc(weight, im_p0)
+            for n in (1, 2, 3, 10, 999, 4096, 50001, 2 ** 16):
+                exact = mpmath.expj(-n * mpmath.mpf(theta)) * (1 - (-q) ** n) / n
+                # rounding of the zero's angle and of the phase n*angle
+                bound = 4 * n * np.spacing(2 * math.pi)
+                assert abs(n * (a[n] - complex(exact))) <= bound
+        assert a[0] == cmath.log(complex(weight, im_p0))
+
+    def test_duplicate_angle_merges(self):
+        split = Herglotz(HerglotzSpec([(1.0, 0.25), (4.0, 2.0), (1.0, 0.5)], 0.3))
+        merged = Herglotz(HerglotzSpec([(1.0, 0.75), (4.0, 2.0)], 0.3))
+        a, b = split.log_taylor(5000).coeffs, merged.log_taylor(5000).coeffs
+        assert np.array_equal(a, b)
+
+    def test_zeros_interlace_with_atoms(self):
+        spec = random_spec(64, 11)
+        thetas = np.sort([t for t, _ in spec.atoms])
+        psi = Herglotz(spec).boundary_zeros()
+        assert np.all(thetas < psi)
+        assert np.all(psi[:-1] < thetas[1:]) and psi[-1] < thetas[0] + 2 * math.pi
+
+    def test_never_runs_the_recurrence(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("log_series called")
+
+        monkeypatch.setattr(caratheodory, "log_series", refuse)
+        monkeypatch.setattr(series, "log_series", refuse)
+        p = from_herglotz(HerglotzSpec([(0.5, 1.0), (3.0, 2.0)]))
+        assert p.log_taylor(4096).truncation_degree == 4096
+
+
 class TestLacunary:
     def test_star_certificate_bound(self):
         p = from_lacunary(star_series(30))
@@ -135,25 +255,21 @@ class TestLacunary:
 
 class TestCertifyNumeric:
     def test_mobius_grid(self):
-        report = certify_numeric(mobius(), 50, 256)
-        assert report.passed and report.min_re > 0
+        min_re, radius, theta = certify_numeric(mobius(), 50, 256)
+        assert min_re > 0
         # worst point sits at the outer radius, opposite the boundary pole
-        assert report.argmin_radius == pytest.approx(0.999)
-        assert abs(report.argmin_theta - math.pi) < 2 * math.pi / 256 + 1e-12
-        expected = (1 - 0.999 ** 2) / abs(1 - 0.999 * cmath.exp(1j * report.argmin_theta)) ** 2
-        assert report.min_re == pytest.approx(expected, rel=1e-12)
+        assert radius == pytest.approx(0.999)
+        assert abs(theta - math.pi) < 2 * math.pi / 256 + 1e-12
+        expected = (1 - 0.999 ** 2) / abs(1 - 0.999 * cmath.exp(1j * theta)) ** 2
+        assert min_re == pytest.approx(expected, rel=1e-12)
 
     def test_constant_one(self):
-        report = certify_numeric(from_lacunary(SparseSeries([])), 3, 8)
-        assert report.min_re == pytest.approx(1.0)
+        min_re, _, _ = certify_numeric(from_lacunary(SparseSeries([])), 3, 8)
+        assert min_re == pytest.approx(1.0)
 
     def test_lacunary_grid(self):
-        report = certify_numeric(from_lacunary(star_series(30)), 20, 128)
-        assert report.passed and report.min_re > 0
-
-    def test_invalid_grid(self):
-        with pytest.raises(ValueError):
-            certify_numeric(mobius(), 0, 4)
+        min_re, _, _ = certify_numeric(from_lacunary(star_series(30)), 20, 128)
+        assert min_re > 0
 
 
 class TestSpecRoundTrip:

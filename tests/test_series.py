@@ -15,42 +15,13 @@ from logmeans import (
     OutsideDisc,
     SparseSeries,
     densify,
-    derivative,
     evaluate,
     exp_series,
-    integrate,
     log_series,
 )
 
 # Oracle (mpmath, 60 digits): (i/2) * sum_{k<=30} 0.9^(2^k) / k^2.
 F_STAR_AT_09 = 0.5174211592951295290948963j
-
-
-def geometric_coeffs(n):
-    """1/(1-z) truncated at degree n."""
-    return DenseSeries(np.ones(n + 1))
-
-
-class TestDerivative:
-    def test_power_rule(self):
-        out = derivative(DenseSeries([1, 1, 1]))
-        assert np.allclose(out.coeffs, [1, 2])
-        assert out.truncation_degree == 1
-
-    def test_constant(self):
-        out = derivative(DenseSeries([3.5 + 1j]))
-        assert out.coeffs.tolist() == [0j]
-        assert out.truncation_degree == 0
-
-    def test_geometric_series(self):
-        # d/dz 1/(1-z) = 1/(1-z)^2 whose coefficients are n+1
-        out = derivative(geometric_coeffs(8))
-        assert np.allclose(out.coeffs, np.arange(1, 9))
-
-    def test_integrate_inverse(self):
-        s = DenseSeries([0, 2, -1, 0.5j])
-        back = derivative(integrate(s))
-        assert np.allclose(back.coeffs, s.coeffs)
 
 
 class TestLogSeries:
