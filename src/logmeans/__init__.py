@@ -43,7 +43,6 @@ from .extremal import (
     critical_radii_star,
     gauge_sweep,
     ratio_at_schedule,
-    ratio_profile,
     star_sweep,
 )
 from .means import (
@@ -108,7 +107,6 @@ __all__ = [
     "parseval_means",
     "quadrature_means",
     "ratio_at_schedule",
-    "ratio_profile",
     "star_sweep",
     "tail_bound",
     "validity_horizon",

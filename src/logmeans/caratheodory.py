@@ -1,7 +1,10 @@
 """Certified constructors for holomorphic functions with positive real part
 on the unit disc.
 
-Two analytic certification routes are implemented, and only these:
+Two constructions, each giving the log-coefficients of p and its point
+values: Herglotz (a kernel sum; the Mobius map (1+z)/(1-z) is its one-atom
+case) and LacunaryExp (exp of a sparse series).  Two analytic certification
+routes are implemented, and only these:
 
 * ByConstruction: an atomic Herglotz kernel sum i*c + sum w_j*(z_j+z)/(z_j-z)
   with positive weights has positive real part term by term.
@@ -25,7 +28,6 @@ from .series import (
     SparseSeries,
     densify,
     evaluate,
-    exp_series,
     log_series,  # unused here; perfbench/tracing.py patches this name
 )
 
@@ -87,44 +89,19 @@ class ByImaginaryBound:
 
 
 @dataclass(frozen=True)
-class Mobius:
-    """(1+z)/(1-z): Taylor coefficients 1, 2, 2, ...; log-coefficients 2/n
-    at odd n."""
-
-    def taylor(self, degree: int) -> DenseSeries:
-        out = np.full(degree + 1, 2.0, dtype=np.complex128)
-        out[0] = 1.0
-        return DenseSeries(out)
-
-    def log_taylor(self, degree: int) -> DenseSeries:
-        out = np.zeros(degree + 1, dtype=np.complex128)
-        odd = np.arange(1, degree + 1, 2)
-        out[odd] = 2.0 / odd
-        return DenseSeries(out)
-
-    def value(self, z: complex) -> complex:
-        return (1.0 + z) / (1.0 - z)
-
-
-@dataclass(frozen=True)
 class Herglotz:
-    """Kernel sum; Taylor and log-Taylor coefficients in closed form.
+    """Kernel sum; log-coefficients in closed form.
 
     p = i*c + sum_j w_j*(zeta_j+z)/(zeta_j-z) is rational with the poles
     zeta_j = e^{i*theta_j}; as Re p > 0 in the disc, its zeros
     eta_j = e^{i*psi_j} all lie on the circle (boundary_zeros).  Hence
     a_0 = log(sum w_j + i*c) on the principal branch and
-    a_n = (sum_j zeta_j^-n - sum_j eta_j^-n)/n, at O(N*J) cost for J
-    distinct atoms (Duren, Univalent Functions, 1983, ch. 1).
+    a_n = (sum_j zeta_j^-n - sum_j eta_j^-n)/n for J distinct atoms (Duren,
+    Univalent Functions, 1983, ch. 1).  The sums cost O(N*J); the zeros
+    cost O(J^2) per bisection step.
     """
 
     spec: HerglotzSpec
-
-    def taylor(self, degree: int) -> DenseSeries:
-        # b_n = 2 * sum_j w_j * zeta_j^-n
-        out = 2.0 * _power_sums(*self._merged_atoms(), degree)
-        out[0] = self.spec.total_mass + 1j * self.spec.im_p0
-        return DenseSeries(out)
 
     def _merged_atoms(self) -> Tuple[np.ndarray, np.ndarray]:
         """The distinct atom angles, sorted, and the summed weight at each."""
@@ -201,9 +178,6 @@ class LacunaryExp:
 
     series: SparseSeries
 
-    def taylor(self, degree: int) -> DenseSeries:
-        return exp_series(densify(self.series, degree))
-
     def log_taylor(self, degree: int) -> DenseSeries:
         return densify(self.series, degree)
 
@@ -225,10 +199,6 @@ class CaratheodoryFunction:
         self.spec_dict = spec_dict
         self.schedule = None  # set by the gauge-adapted builder
         self._log_cache: Dict[int, DenseSeries] = {}
-
-    def taylor(self, degree: int) -> DenseSeries:
-        """Taylor coefficients of p to the given truncation degree."""
-        return self.construction.taylor(degree)
 
     def log_taylor(self, degree: int) -> DenseSeries:
         """Taylor coefficients of log(p) to the given truncation degree."""
@@ -264,15 +234,17 @@ class CaratheodoryFunction:
 
 
 def mobius() -> CaratheodoryFunction:
-    """The function (1+z)/(1-z); its log-coefficients are 2/n at odd n."""
-    return CaratheodoryFunction(Mobius(), ByConstruction(), {"type": "mobius"})
+    """The function (1+z)/(1-z), the one-atom kernel sum at angle 0 with
+    weight 1; its log-coefficients are 2/n at odd n."""
+    spec = HerglotzSpec([(0.0, 1.0)])
+    return CaratheodoryFunction(Herglotz(spec), ByConstruction(), {"type": "mobius"})
 
 
 def from_herglotz(spec: HerglotzSpec) -> CaratheodoryFunction:
     """Kernel sum p(z) = i*im_p0 + sum_j w_j*(zeta_j+z)/(zeta_j-z).
 
-    Positive by construction; Taylor coefficients (b_n = 2*sum_j
-    w_j*zeta_j^(-n)) and log-coefficients in closed form (see Herglotz).
+    Positive by construction; log-coefficients in closed form (see
+    Herglotz).
     """
     spec_dict = {
         "type": "herglotz",

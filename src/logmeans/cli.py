@@ -43,6 +43,10 @@ H2_CEILING = math.pi ** 2 / 2.0
 # time (kernel-sum log-coefficients cost O(N*J) for J atoms, see caratheodory).
 MAX_TRUNC = 2 ** 16
 
+# Most atoms in a kernel-sum spec: finding the zeros of p costs O(J^2) per
+# bisection step (log_taylor(2048) takes about 4 s at J = 2000).
+MAX_ATOMS = 2 ** 10
+
 
 def _at_least(value: int, minimum: int, flag: str) -> int:
     if value < minimum:
@@ -85,7 +89,11 @@ def _load_spec(text: str) -> CaratheodoryFunction:
                 text = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read spec file {text[1:]!r}: {exc}") from None
-    return parse_function_spec(text)
+    p = parse_function_spec(text)
+    atoms = len(p.spec_dict.get("atoms", ()))
+    if atoms > MAX_ATOMS:
+        raise ParseError(f"a kernel sum takes at most {MAX_ATOMS} atoms, got {atoms}")
+    return p
 
 
 def _cell(value) -> str:

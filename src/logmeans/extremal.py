@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from .caratheodory import CaratheodoryFunction, from_lacunary
 from .errors import (
@@ -48,9 +48,6 @@ MAX_STAR_INDEX = 62  # exponent 2^k must fit a 64-bit signed width
 # (powlog:2,1 at k=4) already takes about 5 s, and the cost grows with the
 # square of the size.
 MAX_SCHEDULE_BITS = 2 ** 17
-
-# Trunc degree for dense log-coefficients in ratio_profile.
-RATIO_TRUNC_DEGREE = 4096
 
 
 @dataclass(frozen=True)
@@ -226,26 +223,6 @@ def build_p_phi(schedule: ExponentSchedule) -> CaratheodoryFunction:
     p = from_lacunary(SparseSeries(terms))
     p.schedule = schedule
     return p
-
-
-def ratio_profile(
-    p: CaratheodoryFunction,
-    phi: Gauge,
-    radii: Sequence[float],
-) -> List[float]:
-    """means(r) / gauge(r) over an ordinary float radius grid.
-
-    Uses the exact sparse log-coefficients when available, otherwise the
-    dense log-coefficients at RATIO_TRUNC_DEGREE.
-    """
-    f = p.log_coeffs(RATIO_TRUNC_DEGREE)
-    out = []
-    for r in radii:
-        if not (0.0 < r < 1.0):
-            raise RadiusOutOfRange(f"radius {r!r} not in (0, 1)")
-        means = parseval_value_at_neglog(f, -math.log(r))
-        out.append(means / phi.value(r))
-    return out
 
 
 def ratio_at_schedule(

@@ -7,10 +7,19 @@ import math
 import pytest
 
 from logmeans import geometric_radii, parse_function_spec, quadrature_means
-from logmeans.cli import MAX_TRUNC, main
+from logmeans.cli import MAX_ATOMS, MAX_TRUNC, _load_spec, main
 from logmeans.jsonio import format_float
 
 MOBIUS = '{"type":"mobius"}'
+
+
+def kernel_sum(atoms):
+    """Spec of a kernel sum with the given number of distinct atoms."""
+    atoms = [{"theta": 0.005 * j, "weight": 1.0} for j in range(atoms)]
+    return json.dumps({"type": "herglotz", "atoms": atoms})
+
+
+TOO_MANY_ATOMS = kernel_sum(MAX_ATOMS + 1)
 
 
 def run_cli(args, capsys):
@@ -138,6 +147,11 @@ class TestMeansCommand:
 
 
 class TestH2Command:
+    def test_atom_cap_is_inclusive(self):
+        # checked at load time; no log-coefficients are computed
+        p = _load_spec(kernel_sum(MAX_ATOMS))
+        assert len(p.spec_dict["atoms"]) == MAX_ATOMS
+
     def test_trunc_cap_is_inclusive(self, capsys):
         code, out, _ = run_cli(
             ["h2", "--spec", MOBIUS, "--trunc", str(MAX_TRUNC)], capsys
@@ -230,10 +244,16 @@ MALFORMED_ARGV = [
         "--spec",
         '{"type":"herglotz","atoms":[{"theta":0,"weight":1}],"im_p0":1e400}',
     ],
+    ["h2", "--spec", TOO_MANY_ATOMS],
 ]
 
 
-@pytest.mark.parametrize("argv", MALFORMED_ARGV, ids=" ".join)
+def argv_id(argv):
+    """The command line, with the long kernel-sum spec abbreviated."""
+    return " ".join(argv).replace(TOO_MANY_ATOMS, f"<{MAX_ATOMS + 1} atoms>")
+
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGV, ids=argv_id)
 def test_malformed_input_error_record(argv, capsys):
     code, _, err = run_cli(argv, capsys)
     assert code == 2

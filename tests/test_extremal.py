@@ -24,7 +24,6 @@ from logmeans import (
     gauge_sweep,
     mobius,
     ratio_at_schedule,
-    ratio_profile,
     star_sweep,
 )
 
@@ -276,19 +275,6 @@ class TestRatios:
     def test_ratio_at_schedule_requires_sparse(self):
         with pytest.raises(ValueError):
             ratio_at_schedule(mobius(), Gauge(1.0), ExponentSchedule((1, 2)))
-
-    def test_constant_function_ratio_zero(self):
-        from logmeans import SparseSeries, from_lacunary
-
-        p = from_lacunary(SparseSeries([]))
-        assert ratio_profile(p, Gauge(1.0), [0.5, 0.9]) == [0.0, 0.0]
-
-    def test_mobius_against_first_power_two_sided(self):
-        # means ~ (1-r)^-1 for the mobius example: the ratio against the
-        # first-power gauge stays inside derived two-sided constants
-        grid = [1.0 - 2.0 ** -j for j in range(1, 11)]
-        ratios = ratio_profile(mobius(), Gauge(1.0), grid)
-        assert all(3.0 <= x <= 7.0 for x in ratios)
 
 
 class TestGaugeStrings:
