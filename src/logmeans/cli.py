@@ -47,6 +47,10 @@ MAX_TRUNC = 2 ** 16
 # bisection step (log_taylor(2048) takes about 4 s at J = 2000).
 MAX_ATOMS = 2 ** 10
 
+# Most radii in a grid: each costs one FFT, and geometric grids collapse onto
+# 1.0 within 53/log2(1/factor) points anyway.
+MAX_RADII = 2 ** 10
+
 
 def _at_least(value: int, minimum: int, flag: str) -> int:
     if value < minimum:
@@ -71,6 +75,8 @@ def _parse_radii_spec(text: str) -> List[float]:
                     f"geometric radii need start,factor,count: {text!r}"
                 )
             start, factor, count = float(parts[0]), float(parts[1]), int(parts[2])
+            if count > MAX_RADII:
+                raise ParseError(f"a grid takes at most {MAX_RADII} radii, got {count}")
             return geometric_radii(start, factor, count)
         if kind == "critical-star":
             return critical_radii_star(int(body))
@@ -142,7 +148,8 @@ def _cmd_means(args) -> str:
         for r, value, tail in zip(radii, profile.values, profile.tail_bounds)
     ]
     try:
-        quad = quadrature_means(p, radii, 2 * trunc + 1, trunc)
+        # smallest power of two >= trunc+1: exact, and a fast FFT length
+        quad = quadrature_means(p, radii, 1 << trunc.bit_length(), trunc)
     except QuadratureInfeasible:
         quad = None  # sparse exponents too large; coefficient route only
     if quad is not None:

@@ -6,16 +6,17 @@ Two computations are provided:
   the means equal 2*pi * sum n^2 |a_n|^2 r^(2n); the sum runs over the stored
   coefficients and a truncation tail bound is reported alongside.
 * quadrature_means: the definition route.  An M-point uniform trapezoid rule
-  on the circle of radius r.  With the polynomial integrand z*F'(z) the
-  integrand is a trigonometric polynomial, so the rule is exact (up to
-  truncation of F) once M exceeds twice the truncation degree.  F is built
-  from the same log-coefficients a_n, so agreement of the two routes checks
-  the FFT and the summation, not the coefficients.
+  on the circle of radius r.  z*F'(z) is a polynomial of degree N without
+  constant term, so its M samples alias no two coefficients and the rule is
+  exact (up to truncation of F) once M >= N+1.  F is built from the same
+  log-coefficients a_n, so agreement of the two routes checks the FFT and
+  the summation, not the coefficients.
 
 Tail bounds combine the class-wide coefficient bound sum |a_n|^2 <= pi^2/2
 with monotonicity of n^2 r^(2n) past n = 1/log(1/r), giving
 pi^3 * (N+1)^2 * r^(2(N+1)) where that monotonicity holds and +inf where it
-does not.  All long sums are accumulated with exact (fsum) summation.
+does not.  The coefficient route accumulates with exact (fsum) summation;
+the quadrature sums its positive squares with numpy's pairwise sum.
 """
 
 from __future__ import annotations
@@ -215,9 +216,10 @@ def quadrature_means(
 ) -> MeansProfile:
     """Definition-route means profile via the M-point uniform trapezoid rule.
 
-    Integrates |z*F'(z)|^2 with F = log p truncated at trunc_degree; the
-    integrand is a trigonometric polynomial, so the rule is exact for the
-    required quadrature_points >= 2*trunc_degree+1 (ValueError otherwise).
+    Integrates |z*F'(z)|^2 with F = log p truncated at trunc_degree.  z*F'
+    has frequencies 1..trunc_degree only, so M samples alias none of them
+    and the rule is exact for the required quadrature_points >=
+    trunc_degree+1 (ValueError otherwise).
     F comes from the same log-coefficients parseval_means sums, so this
     route checks the FFT and the summation, not the coefficients.
 
@@ -232,8 +234,8 @@ def quadrature_means(
         raise QuadratureInfeasible(
             f"max exponent {sparse.max_exponent} exceeds {MAX_QUADRATURE_DEGREE}"
         )
-    if quadrature_points < 2 * trunc_degree + 1:
-        raise ValueError("need at least 2*trunc_degree+1 quadrature points")
+    if quadrature_points < trunc_degree + 1:
+        raise ValueError("need at least trunc_degree+1 quadrature points")
     m = quadrature_points
     f = p.log_taylor(trunc_degree)
     g = np.arange(f.coeffs.size) * f.coeffs  # z*F' has coefficients n*a_n
@@ -241,6 +243,7 @@ def quadrature_means(
     tails = []
     for r in radii:
         samples = _poly_circle_samples(g, r, m)
-        values.append((TWO_PI / m) * math.fsum((np.abs(samples) ** 2).tolist()))
+        power = np.sum(samples.real ** 2 + samples.imag ** 2)
+        values.append((TWO_PI / m) * float(power))
         tails.append(tail_bound(trunc_degree, -math.log(r)))
     return MeansProfile(tuple(radii), tuple(values), tuple(tails), "quadrature")

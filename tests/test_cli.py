@@ -1,13 +1,19 @@
 """Command-line surface: gauge parsing, output schemas, determinism, error
 records, and spec round-trips through files."""
 
+import contextlib
+import io
 import json
 import math
+import os
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logmeans import geometric_radii, parse_function_spec, quadrature_means
-from logmeans.cli import MAX_ATOMS, MAX_TRUNC, _load_spec, main
+from logmeans.cli import MAX_ATOMS, MAX_RADII, MAX_TRUNC, _load_spec, main
 from logmeans.jsonio import format_float
 
 MOBIUS = '{"type":"mobius"}'
@@ -20,6 +26,19 @@ def kernel_sum(atoms):
 
 
 TOO_MANY_ATOMS = kernel_sum(MAX_ATOMS + 1)
+
+THREE_ATOMS = {
+    "type": "herglotz",
+    "atoms": [
+        {"theta": 0.3, "weight": 0.5},
+        {"theta": 2.1, "weight": 0.3},
+        {"theta": 4.0, "weight": 0.2},
+    ],
+    "im_p0": 0.25,
+}
+
+# N+1 on both sides of a power of two, up to the herglotz-means sizes
+QUADRATURE_TRUNCS = [255, 256, 2047, 2048, 16383, 16384]
 
 
 def run_cli(args, capsys):
@@ -117,25 +136,54 @@ class TestMeansCommand:
         assert [row["n_k"] for row in doc["rows"]] == list(p.schedule.n_k)
 
     def test_quadrature_uses_minimal_exact_rule(self, capsys):
-        spec = {
-            "type": "herglotz",
-            "atoms": [
-                {"theta": 0.3, "weight": 0.5},
-                {"theta": 2.1, "weight": 0.3},
-                {"theta": 4.0, "weight": 0.2},
-            ],
-            "im_p0": 0.25,
-        }
         trunc = 300
         code, out, _ = run_cli(
-            ["means", "--spec", json.dumps(spec), "--trunc", str(trunc)], capsys
+            ["means", "--spec", json.dumps(THREE_ATOMS), "--trunc", str(trunc)],
+            capsys,
         )
         assert code == 0
-        p = parse_function_spec(spec)
+        p = parse_function_spec(THREE_ATOMS)
         radii = geometric_radii(0.5, 0.5, 20)
-        quad = quadrature_means(p, radii, 2 * trunc + 1, trunc)
+        quad = quadrature_means(p, radii, 1 << trunc.bit_length(), trunc)
         printed = [line.split(",")[3] for line in out.strip().split("\n")[1:]]
         assert printed == [format_float(v) for v in quad.values]
+
+    @pytest.mark.parametrize("trunc", QUADRATURE_TRUNCS)
+    def test_mobius_quadrature_matches_truncated_means(self, trunc, capsys):
+        # the truncated Mobius means are 8*pi*sum_{odd n<=N} r^(2n), a
+        # geometric sum evaluated here at 40 digits
+        code, out, _ = run_cli(
+            ["means", "--spec", MOBIUS, "--trunc", str(trunc)], capsys
+        )
+        assert code == 0
+        odd_terms = (trunc + 1) // 2
+        with mpmath.workdps(40):
+            for line in out.strip().split("\n")[1:]:
+                cells = line.split(",")
+                r = mpmath.mpf(float(cells[0]))
+                exact = 8 * mpmath.pi * r ** 2 * (1 - r ** (4 * odd_terms))
+                exact /= 1 - r ** 4
+                assert abs(float(cells[3]) - exact) / exact <= 2e-15
+
+    @pytest.mark.parametrize("trunc", QUADRATURE_TRUNCS)
+    def test_kernel_sum_quadrature_matches_parseval(self, trunc, capsys):
+        code, out, _ = run_cli(
+            ["means", "--spec", json.dumps(THREE_ATOMS), "--trunc", str(trunc)],
+            capsys,
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 20
+        for cells in rows:
+            assert float(cells[4]) <= 1e-13
+
+    def test_radius_cap_is_inclusive(self, capsys):
+        grid = f"geometric:0.5,0.99,{MAX_RADII}"
+        code, out, _ = run_cli(
+            ["means", "--spec", MOBIUS, "--trunc", "8", "--radii", grid], capsys
+        )
+        assert code == 0
+        assert len(out.strip().split("\n")) == MAX_RADII + 1
 
     def test_bad_radii_spec(self, capsys):
         code, _, err = run_cli(
@@ -245,6 +293,7 @@ MALFORMED_ARGV = [
         '{"type":"herglotz","atoms":[{"theta":0,"weight":1}],"im_p0":1e400}',
     ],
     ["h2", "--spec", TOO_MANY_ATOMS],
+    ["means", "--spec", MOBIUS, "--radii", "geometric:0.5,0.9999999,1025"],
 ]
 
 
@@ -263,6 +312,95 @@ def test_malformed_input_error_record(argv, capsys):
     assert set(record["error"]) == {"name", "message"}
     assert isinstance(record["error"]["name"], str)
     assert isinstance(record["error"]["message"], str)
+
+
+# Values any option may receive, then the plausible values of each option.
+# Sizes stay small: every drawn command line finishes in well under a second.
+EDGE_VALUES = ["0", "-1", "abc", "1e400", "nan", "", "@missing"]
+OPTION_VALUES = {
+    "--spec": [
+        MOBIUS,
+        json.dumps(THREE_ATOMS),
+        "{",
+        "[]",
+        '{"type":"nosuch"}',
+        '{"type":"herglotz","atoms":[]}',
+        '{"type":"herglotz","atoms":[{"theta":0,"weight":-1}]}',
+        '{"type":"lacunary","terms":[{"exponent":3,"re":2.0}]}',
+        '{"type":"lacunary","terms":[{"exponent":-2,"im":0.1}]}',
+        '{"type":"theorem2_star","k_max":4}',
+        '{"type":"theorem2_star","k_max":"x"}',
+        '{"type":"theorem3_gauge","gauge":"pow:1.5","k_max":3}',
+        '{"type":"theorem3_gauge","gauge":"pow:2.5","k_max":3}',
+    ],
+    "--radii": [
+        "geometric:0.5,0.5,3",
+        "geometric:0.5,0.5,0",
+        "geometric:1,0.5,3",
+        "geometric:0.5,0.5",
+        "geometric:0.5,0.9999999,1025",
+        "critical-star:4",
+        "critical-star:60",
+        "linear:1,2",
+    ],
+    "--trunc": ["1", "3", "8"],
+    "--kmax": ["1", "3", "6"],
+    "--kmax-star": ["1", "3"],
+    "--kmax-gauge": ["1", "3"],
+    "--phi": ["pow:1.5", "pow:2.5", "pow:", "powlog:2,0.5", "powlog:1.9,x"],
+    "--gauge": ["pow:1.5", "pow:2.5", "pow:", "powlog:2,0.5", "powlog:1.9,x"],
+    "--constant": ["4.2", "inf"],
+    "--format": ["csv", "json", "xml"],
+    "--out": ["-", "out.csv", "missing-dir/out.csv"],
+}
+COMMAND_OPTIONS = {
+    "means": ["--spec", "--radii", "--trunc", "--format", "--out"],
+    "h2": ["--spec", "--trunc", "--format", "--out"],
+    "star": ["--kmax", "--format", "--out"],
+    "gauge": ["--phi", "--kmax", "--format", "--out"],
+    "report": ["--gauge", "--kmax-star", "--kmax-gauge", "--constant", "--out"],
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """A command, some of its options (or any option) with plausible or
+    edge values, and sometimes a stray token."""
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS) + ["nosuch"]))
+    own = COMMAND_OPTIONS.get(command, [])
+    flags = draw(
+        st.lists(st.sampled_from(own or sorted(OPTION_VALUES)), max_size=4)
+        | st.lists(st.sampled_from(sorted(OPTION_VALUES)), max_size=2)
+    )
+    argv = [command]
+    for flag in flags:
+        argv += [flag, draw(st.sampled_from(OPTION_VALUES[flag] + EDGE_VALUES))]
+    stray = draw(st.sampled_from([None, None, None, "--help", "--nosuch", "extra"]))
+    if stray is not None:
+        argv.insert(draw(st.integers(0, len(argv))), stray)
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=cli_argv())
+def test_generated_argv_end_in_result_or_error_record(argv, tmp_path_factory):
+    # run in a scratch directory: drawn --out values are relative paths
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(tmp_path_factory.getbasetemp())
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --help
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 2)
+    if code == 2:
+        record = json.loads(err.getvalue().strip().split("\n")[-1])
+        assert set(record) == {"schema", "error"}
+        assert set(record["error"]) == {"name", "message"}
 
 
 class TestDeterminism:

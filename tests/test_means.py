@@ -123,16 +123,17 @@ class TestQuadrature:
         assert quad.values[0] == pytest.approx(pv.values[0], rel=1e-10)
 
     def test_exactness_at_minimal_points(self):
-        # trapezoid on a trig polynomial: M = 2N+1 already exact
+        # z*F' has frequencies 1..N, so M = N+1 samples alias none of them
         p = mobius()
-        small = quadrature_means(p, [0.6], 2 * 128 + 1, 128)
+        small = quadrature_means(p, [0.6], 128 + 1, 128)
         large = quadrature_means(p, [0.6], 4096, 128)
         assert small.values[0] == pytest.approx(large.values[0], rel=1e-13)
 
     def test_too_few_points_rejected(self):
-        # below 2N+1 points the rule is no longer exact
+        # below N+1 points the zero-padded FFT would drop coefficients
         with pytest.raises(ValueError):
-            quadrature_means(mobius(), [0.6], 2 * 128, 128)
+            quadrature_means(mobius(), [0.6], 128, 128)
+        assert quadrature_means(mobius(), [0.6], 129, 128).values[0] > 0.0
 
     def test_sparse_exponent_guard(self):
         p = from_lacunary(star_series(30))  # exponents up to 2^30 > 2^20
