@@ -29,7 +29,6 @@ from .errors import (
     NearZeroConstantTerm,
     OutsideDisc,
     ParseError,
-    QuadratureInfeasible,
     RadiusOutOfRange,
     ToolkitError,
 )
@@ -48,7 +47,6 @@ from .extremal import (
 from .means import (
     MeansProfile,
     geometric_radii,
-    h2_sum,
     parseval_means,
     quadrature_means,
     tail_bound,
@@ -80,7 +78,6 @@ __all__ = [
     "NearZeroConstantTerm",
     "OutsideDisc",
     "ParseError",
-    "QuadratureInfeasible",
     "RadiusOutOfRange",
     "Report",
     "SparseSeries",
@@ -99,7 +96,6 @@ __all__ = [
     "from_lacunary",
     "gauge_sweep",
     "geometric_radii",
-    "h2_sum",
     "little_o_check",
     "log_series",
     "mobius",

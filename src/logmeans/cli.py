@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence
 
 from .analysis import UNIFORM_CONSTANT, corollary_report
 from .caratheodory import CaratheodoryFunction, HerglotzSpec, from_herglotz, mobius
-from .errors import ParseError, QuadratureInfeasible, ToolkitError
+from .errors import ParseError, ToolkitError
 from .extremal import (
     Gauge,
     build_p_star,
@@ -34,7 +34,7 @@ from .extremal import (
     star_sweep,
 )
 from .jsonio import atomic_write_text, dumps_canonical, format_float, int_str
-from .means import geometric_radii, h2_sum, parseval_means, quadrature_means
+from .means import geometric_radii, parseval_means, quadrature_means
 from .specs import parse_function_spec
 
 H2_CEILING = math.pi ** 2 / 2.0
@@ -51,6 +51,15 @@ MAX_ATOMS = 2 ** 10
 # 1.0 within 53/log2(1/factor) points anyway.
 MAX_RADII = 2 ** 10
 
+# Largest gauge-schedule index (gauge --kmax, report --kmax-gauge, a
+# theorem3_gauge spec's k_max): ratio_at_schedule sums every term at every
+# n_k, so a sweep costs O(k^2) (gauge --kmax 1024 takes about 2 s).
+MAX_KMAX = 2 ** 10
+
+# Largest log-coefficient degree means materializes densely for its
+# quadrature columns; sparse exponents past it get the coefficient route only.
+MAX_QUADRATURE_DEGREE = 2 ** 20
+
 
 def _at_least(value: int, minimum: int, flag: str) -> int:
     if value < minimum:
@@ -58,10 +67,11 @@ def _at_least(value: int, minimum: int, flag: str) -> int:
     return value
 
 
-def _trunc(value: int) -> int:
-    if value > MAX_TRUNC:
-        raise ParseError(f"--trunc must be <= {MAX_TRUNC}, got {value}")
-    return _at_least(value, 1, "--trunc")
+def _capped(value: int, maximum: int, flag: str) -> int:
+    """value, if 1 <= value <= maximum; ParseError otherwise."""
+    if value > maximum:
+        raise ParseError(f"{flag} must be <= {maximum}, got {value}")
+    return _at_least(value, 1, flag)
 
 
 def _parse_radii_spec(text: str) -> List[float]:
@@ -95,7 +105,18 @@ def _load_spec(text: str) -> CaratheodoryFunction:
                 text = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read spec file {text[1:]!r}: {exc}") from None
-    p = parse_function_spec(text)
+    try:
+        spec = json.loads(text)
+    except ValueError:
+        spec = text  # parse_function_spec reports the malformed JSON
+    if isinstance(spec, dict) and spec.get("type") == "theorem3_gauge":
+        try:  # capped before parse_function_spec searches the schedule
+            k_max = int(spec["k_max"])
+        except (KeyError, TypeError, ValueError, OverflowError):
+            pass  # parse_function_spec reports the malformed k_max
+        else:
+            _capped(k_max, MAX_KMAX, "a theorem3_gauge spec's k_max")
+    p = parse_function_spec(spec)
     atoms = len(p.spec_dict.get("atoms", ()))
     if atoms > MAX_ATOMS:
         raise ParseError(f"a kernel sum takes at most {MAX_ATOMS} atoms, got {atoms}")
@@ -138,23 +159,21 @@ def _write_output(path: str, text: str) -> None:
 
 
 def _cmd_means(args) -> str:
-    trunc = _trunc(args.trunc)
+    trunc = _capped(args.trunc, MAX_TRUNC, "--trunc")
     p = _load_spec(args.spec)
     radii = _parse_radii_spec(args.radii)
-    profile = parseval_means(p.log_coeffs(trunc), radii)
+    a = p.log_coeffs(trunc)
+    profile = parseval_means(a, radii)
     columns = ["r", "I_parseval", "tail_bound"]
     rows = [
         {"r": r, "I_parseval": value, "tail_bound": tail}
         for r, value, tail in zip(radii, profile.values, profile.tail_bounds)
     ]
-    try:
+    if a.truncation_degree <= MAX_QUADRATURE_DEGREE:
         # smallest power of two >= trunc+1: exact, and a fast FFT length
-        quad = quadrature_means(p, radii, 1 << trunc.bit_length(), trunc)
-    except QuadratureInfeasible:
-        quad = None  # sparse exponents too large; coefficient route only
-    if quad is not None:
+        quad = quadrature_means(p.log_taylor(trunc), radii, 1 << trunc.bit_length())
         columns += ["I_quadrature", "quad_rel_err"]
-        for row, value in zip(rows, quad.values):
+        for row, value in zip(rows, quad):
             row["I_quadrature"] = value
             row["quad_rel_err"] = abs(value - row["I_parseval"]) / max(
                 row["I_parseval"], 1e-30
@@ -163,12 +182,12 @@ def _cmd_means(args) -> str:
 
 
 def _cmd_h2(args) -> str:
-    trunc = _trunc(args.trunc)
+    trunc = _capped(args.trunc, MAX_TRUNC, "--trunc")
     p = _load_spec(args.spec)
     f = p.log_coeffs(trunc)
-    total = h2_sum(f)
+    total = f.h2_sum()
     row = {
-        "terms": len(f.terms) if hasattr(f, "terms") else f.truncation_degree,
+        "terms": f.term_count,
         "h2_sum": total,
         "ceiling": H2_CEILING,
         "margin": H2_CEILING - total,
@@ -185,7 +204,7 @@ def _cmd_star(args) -> str:
 
 def _cmd_gauge(args) -> str:
     phi = Gauge.from_string(args.phi)
-    _, rows = gauge_sweep(phi, _at_least(args.kmax, 1, "--kmax"))
+    _, rows = gauge_sweep(phi, _capped(args.kmax, MAX_KMAX, "--kmax"))
     columns = ["k", "n_k", "ratio", "floor", "ratio_to_floor"]
     spec = {"type": "theorem3_gauge", "gauge": phi.label(), "k_max": args.kmax}
     return _render(args, columns, rows, spec)
@@ -209,6 +228,7 @@ def _cmd_report(args) -> str:
         raise ParseError(f"--constant must be finite, got {args.constant!r}")
     phi = Gauge.from_string(args.gauge)
     _at_least(args.kmax_star, 1, "--kmax-star")
+    _capped(args.kmax_gauge, MAX_KMAX, "--kmax-gauge")
     suite = canonical_suite(phi, args.kmax_star, args.kmax_gauge)
     report = corollary_report(suite, phi, constant=args.constant)
     return report.to_json()

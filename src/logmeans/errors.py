@@ -50,9 +50,5 @@ class DegenerateProfile(ToolkitError):
     """Means profile unusable for exponent fitting (too short or nonpositive)."""
 
 
-class QuadratureInfeasible(ToolkitError):
-    """Dense materialization needed for quadrature would be too large."""
-
-
 class ParseError(ToolkitError):
     """Malformed CLI input (function spec, gauge string, radii spec)."""

@@ -35,7 +35,7 @@ from .errors import (
     ParseError,
     RadiusOutOfRange,
 )
-from .means import TWO_PI, parseval_log_value_at_inv_n, parseval_value_at_neglog
+from .means import TWO_PI, parseval_log_value_at_inv_n
 from .numerics import DIRECT_N_LIMIT, gap_from_inv_n, neglog_gap_from_inv_n
 from .series import SparseSeries
 
@@ -256,7 +256,7 @@ def star_sweep(k_max: int) -> List[dict]:
     f = p.log_sparse()
     rows = []
     for k in range(1, k_max + 1):
-        value = parseval_value_at_neglog(f, 2.0 ** -k)
+        value = f.parseval_value(2.0 ** -k)
         lower = TWO_PI * math.exp(-2.0) * 4.0 ** (k - 1) / float(k) ** 4
         rows.append(
             {

@@ -1,16 +1,19 @@
-"""Quadratic integral means of the normalized logarithmic derivative z*p'/p.
+"""Quadratic integral means of the normalized logarithmic derivative z*p'/p,
+computed from the log-coefficients alone.
 
 Two computations are provided:
 
 * parseval_means: the coefficient route.  If log p = a_0 + sum a_n z^n then
-  the means equal 2*pi * sum n^2 |a_n|^2 r^(2n); the sum runs over the stored
-  coefficients and a truncation tail bound is reported alongside.
+  the means equal 2*pi * sum n^2 |a_n|^2 r^(2n); each series type (dense or
+  sparse) sums its stored coefficients itself, and a truncation tail bound
+  is reported alongside.
 * quadrature_means: the definition route.  An M-point uniform trapezoid rule
-  on the circle of radius r.  z*F'(z) is a polynomial of degree N without
-  constant term, so its M samples alias no two coefficients and the rule is
-  exact (up to truncation of F) once M >= N+1.  F is built from the same
-  log-coefficients a_n, so agreement of the two routes checks the FFT and
-  the summation, not the coefficients.
+  on the circle of radius r for F = sum a_n z^n given by its dense
+  coefficients.  z*F'(z) is a polynomial of degree N without constant
+  term, so its M samples alias no two coefficients and the rule is exact
+  (up to truncation of F) once M >= N+1.  F comes from the same a_n, so
+  agreement of the two routes checks the FFT and the summation, not the
+  coefficients.
 
 Tail bounds combine the class-wide coefficient bound sum |a_n|^2 <= pi^2/2
 with monotonicity of n^2 r^(2n) past n = 1/log(1/r), giving
@@ -27,16 +30,11 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .caratheodory import CaratheodoryFunction
-from .errors import QuadratureInfeasible, RadiusOutOfRange
-from .numerics import exp_neg_scaled, float_ratio, logsumexp
-from .series import AnySeries, DenseSeries, SparseSeries
+from .errors import RadiusOutOfRange
+from .numerics import float_ratio, logsumexp
+from .series import TWO_PI, AnySeries, DenseSeries, SparseSeries
 
-TWO_PI = 2.0 * math.pi
 LOG_TWO_PI = math.log(TWO_PI)
-
-# Dense materialization past this exponent is pointless; quadrature refuses.
-MAX_QUADRATURE_DEGREE = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -46,7 +44,6 @@ class MeansProfile:
     radii: Tuple[float, ...]
     values: Tuple[float, ...]
     tail_bounds: Tuple[float, ...]
-    method: str
 
     def __post_init__(self):
         r = self.radii
@@ -57,8 +54,6 @@ class MeansProfile:
             raise ValueError("values must be nonnegative")
         if any(t < 0 or math.isnan(t) for t in self.tail_bounds):
             raise ValueError("tail bounds must be nonnegative")
-        if self.method not in ("parseval", "quadrature"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 def _check_radii(radii: Sequence[float]) -> None:
@@ -107,41 +102,6 @@ def tail_bound(trunc_degree: int, neglog_r: float) -> float:
     return math.exp(ln_tail)  # underflows harmlessly to 0 for huge x
 
 
-def _dense_weights(a: DenseSeries) -> Tuple[np.ndarray, np.ndarray]:
-    c = a.coeffs
-    n = np.arange(1, c.size, dtype=np.float64)
-    mag2 = c.real[1:] ** 2 + c.imag[1:] ** 2
-    return n, (n * n) * mag2
-
-
-def parseval_value_at_neglog(a: AnySeries, neglog_r: float) -> float:
-    """2*pi * sum n^2 |a_n|^2 exp(-2*n*neglog_r) over stored coefficients.
-
-    neglog_r = -log(r) > 0.  Exponents of any size are handled; the value
-    itself may overflow to +inf for extreme sparse inputs, in which case the
-    log-domain variant should be used instead.
-    """
-    if neglog_r <= 0.0:
-        raise RadiusOutOfRange("radius must be < 1")
-    if isinstance(a, DenseSeries):
-        if a.coeffs.size == 1:
-            return 0.0
-        n, w = _dense_weights(a)
-        return TWO_PI * math.fsum((w * np.exp(-2.0 * neglog_r * n)).tolist())
-    terms = []
-    for e, c in a.terms:
-        ac2 = c.real * c.real + c.imag * c.imag
-        power = exp_neg_scaled(neglog_r, 2 * e)
-        if power == 0.0 or ac2 == 0.0:
-            continue
-        if e.bit_length() <= 500:
-            terms.append(float(e) ** 2 * ac2 * power)
-        else:
-            ln_term = 2.0 * math.log(e) + math.log(ac2) + math.log(power)
-            terms.append(math.exp(ln_term) if ln_term <= 700.0 else math.inf)
-    return TWO_PI * math.fsum(terms)
-
-
 def parseval_log_value_at_inv_n(a: SparseSeries, n: int) -> float:
     """log of the Parseval means at the radius exp(-1/n), n an exact integer.
 
@@ -171,79 +131,38 @@ def parseval_means(a: AnySeries, radii: Sequence[float]) -> MeansProfile:
     coefficient never contributes.
     """
     _check_radii(radii)
-    degree = (
-        a.truncation_degree if isinstance(a, DenseSeries) else a.max_exponent
-    )
     values = []
     tails = []
     for r in radii:
         s = -math.log(r)
-        values.append(parseval_value_at_neglog(a, s))
-        tails.append(tail_bound(degree, s))
-    return MeansProfile(tuple(radii), tuple(values), tuple(tails), "parseval")
-
-
-def h2_sum(a: AnySeries) -> float:
-    """sum |a_n|^2 over the stored nonconstant coefficients.
-
-    A partial sum, monotone nondecreasing in the truncation degree; for the
-    log-coefficients of any function with positive real part it never
-    exceeds pi^2/2.
-    """
-    if isinstance(a, DenseSeries):
-        c = a.coeffs
-        if c.size == 1:
-            return 0.0
-        mag2 = c.real[1:] ** 2 + c.imag[1:] ** 2
-        return math.fsum(mag2.tolist())
-    return math.fsum(
-        c.real * c.real + c.imag * c.imag for _, c in a.terms
-    )
-
-
-def _poly_circle_samples(coeffs: np.ndarray, r: float, m: int) -> np.ndarray:
-    """Values of sum c_n z^n (degree < m) at the m-th roots of unity scaled
-    by r, from a single zero-padded inverse FFT."""
-    scaled = coeffs * np.power(r, np.arange(coeffs.size))
-    return np.fft.ifft(scaled, n=m) * m
+        values.append(a.parseval_value(s))
+        tails.append(tail_bound(a.truncation_degree, s))
+    return MeansProfile(tuple(radii), tuple(values), tuple(tails))
 
 
 def quadrature_means(
-    p: CaratheodoryFunction,
-    radii: Sequence[float],
-    quadrature_points: int,
-    trunc_degree: int,
-) -> MeansProfile:
-    """Definition-route means profile via the M-point uniform trapezoid rule.
+    f: DenseSeries, radii: Sequence[float], quadrature_points: int
+) -> Tuple[float, ...]:
+    """Definition-route means at each radius via the M-point uniform
+    trapezoid rule.
 
-    Integrates |z*F'(z)|^2 with F = log p truncated at trunc_degree.  z*F'
-    has frequencies 1..trunc_degree only, so M samples alias none of them
-    and the rule is exact for the required quadrature_points >=
-    trunc_degree+1 (ValueError otherwise).
+    Integrates |z*F'(z)|^2 with F the dense series f of degree N.  z*F' has
+    frequencies 1..N only, so M samples alias none of them and the rule is
+    exact for the required quadrature_points >= N+1 (ValueError otherwise).
     F comes from the same log-coefficients parseval_means sums, so this
-    route checks the FFT and the summation, not the coefficients.
-
-    Refuses sparse-exponent inputs that would need dense degrees beyond
-    2**20 (QuadratureInfeasible); the coefficient route is exact for those.
+    route checks the FFT and the summation, not the coefficients; its
+    truncation tail is parseval_means'.
     """
     _check_radii(radii)
-    if trunc_degree < 1:
-        raise ValueError("truncation degree must be >= 1")
-    sparse = p.log_sparse()
-    if sparse is not None and sparse.max_exponent > MAX_QUADRATURE_DEGREE:
-        raise QuadratureInfeasible(
-            f"max exponent {sparse.max_exponent} exceeds {MAX_QUADRATURE_DEGREE}"
-        )
-    if quadrature_points < trunc_degree + 1:
-        raise ValueError("need at least trunc_degree+1 quadrature points")
+    if quadrature_points < f.truncation_degree + 1:
+        raise ValueError("need at least truncation_degree+1 quadrature points")
     m = quadrature_points
-    f = p.log_taylor(trunc_degree)
-    g = np.arange(f.coeffs.size) * f.coeffs  # z*F' has coefficients n*a_n
+    n = np.arange(f.coeffs.size)
+    g = n * f.coeffs  # z*F' has coefficients n*a_n
     values = []
-    tails = []
     for r in radii:
-        samples = _poly_circle_samples(g, r, m)
+        # z*F' at the m-th roots of unity scaled by r: one zero-padded FFT
+        samples = np.fft.ifft(g * np.power(r, n), n=m) * m
         power = np.sum(samples.real ** 2 + samples.imag ** 2)
         values.append((TWO_PI / m) * float(power))
-        tails.append(tail_bound(trunc_degree, -math.log(r)))
-    return MeansProfile(tuple(radii), tuple(values), tuple(tails), "quadrature")
+    return tuple(values)

@@ -4,6 +4,9 @@ DenseSeries holds complex Taylor coefficients 0..N with explicit truncation
 degree.  SparseSeries holds (exponent, coefficient) pairs with strictly
 increasing integer exponents; exponents may be arbitrarily large Python
 integers, which is what makes the lacunary constructions representable.
+Both types sum their own Parseval means 2*pi * sum n^2 |a_n|^2 r^(2n) and
+H^2 partial sum sum |a_n|^2 over the nonconstant coefficients, with exact
+(fsum) summation.
 
 The log/exp conversions use the classical O(N^2) convolution recurrences
 derived from p*F' = p' and p' = F'*p.  No construction takes its
@@ -19,8 +22,10 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import NearZeroConstantTerm, OutsideDisc
-from .numerics import binary_power
+from .errors import NearZeroConstantTerm, OutsideDisc, RadiusOutOfRange
+from .numerics import binary_power, exp_neg_scaled
+
+TWO_PI = 2.0 * math.pi
 
 # |b_0| below this makes the logarithm ill conditioned; log_series refuses.
 EPS0 = 1e-300
@@ -43,6 +48,28 @@ class DenseSeries:
     @property
     def truncation_degree(self) -> int:
         return self.coeffs.size - 1
+
+    @property
+    def term_count(self) -> int:
+        """Number of nonconstant coefficients, N."""
+        return self.truncation_degree
+
+    def _squared_moduli(self) -> np.ndarray:
+        c = self.coeffs
+        return c.real[1:] ** 2 + c.imag[1:] ** 2
+
+    def parseval_value(self, neglog_r: float) -> float:
+        """2*pi * sum_{n=1..N} n^2 |c_n|^2 exp(-2*n*neglog_r), neglog_r =
+        -log(r) > 0."""
+        if neglog_r <= 0.0:
+            raise RadiusOutOfRange("radius must be < 1")
+        n = np.arange(1, self.coeffs.size, dtype=np.float64)
+        w = (n * n) * self._squared_moduli()
+        return TWO_PI * math.fsum((w * np.exp(-2.0 * neglog_r * n)).tolist())
+
+    def h2_sum(self) -> float:
+        """sum_{n=1..N} |c_n|^2."""
+        return math.fsum(self._squared_moduli().tolist())
 
     def resized(self, degree: int) -> "DenseSeries":
         """Copy truncated or zero-padded to the given degree."""
@@ -105,9 +132,41 @@ class SparseSeries:
         return tuple(e for e, _ in self.terms)
 
     @property
-    def max_exponent(self) -> int:
+    def truncation_degree(self) -> int:
         """Largest stored exponent; 0 for the zero series."""
         return self.terms[-1][0] if self.terms else 0
+
+    @property
+    def term_count(self) -> int:
+        """Number of stored (nonzero) terms."""
+        return len(self.terms)
+
+    def parseval_value(self, neglog_r: float) -> float:
+        """2*pi * sum e^2 |c|^2 exp(-2*e*neglog_r) over the terms, neglog_r =
+        -log(r) > 0.
+
+        Exponents of any size are handled; the value itself may overflow to
+        +inf for extreme inputs, where means.parseval_log_value_at_inv_n
+        works in the log domain instead.
+        """
+        if neglog_r <= 0.0:
+            raise RadiusOutOfRange("radius must be < 1")
+        terms = []
+        for e, c in self.terms:
+            ac2 = c.real * c.real + c.imag * c.imag
+            power = exp_neg_scaled(neglog_r, 2 * e)
+            if power == 0.0 or ac2 == 0.0:
+                continue
+            if e.bit_length() <= 500:
+                terms.append(float(e) ** 2 * ac2 * power)
+            else:
+                ln_term = 2.0 * math.log(e) + math.log(ac2) + math.log(power)
+                terms.append(math.exp(ln_term) if ln_term <= 700.0 else math.inf)
+        return TWO_PI * math.fsum(terms)
+
+    def h2_sum(self) -> float:
+        """sum |c|^2 over the terms."""
+        return math.fsum(c.real * c.real + c.imag * c.imag for _, c in self.terms)
 
     def abs_coeff_sum(self) -> float:
         return math.fsum(abs(c) for _, c in self.terms)
@@ -122,7 +181,7 @@ class SparseSeries:
         return hash(self.terms)
 
     def __repr__(self) -> str:
-        return f"SparseSeries({len(self.terms)} terms, max_exp={self.max_exponent})"
+        return f"SparseSeries({len(self.terms)} terms, degree={self.truncation_degree})"
 
 
 AnySeries = Union[DenseSeries, SparseSeries]

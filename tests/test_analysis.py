@@ -27,9 +27,7 @@ PI = math.pi
 def synthetic_profile(beta, c=3.0, count=12):
     radii = [1.0 - 2.0 ** -j for j in range(2, 2 + count)]
     values = [c * (1.0 - r) ** -beta for r in radii]
-    return MeansProfile(
-        tuple(radii), tuple(values), tuple(0.0 for _ in radii), "parseval"
-    )
+    return MeansProfile(tuple(radii), tuple(values), tuple(0.0 for _ in radii))
 
 
 class TestFitExponent:
@@ -54,12 +52,12 @@ class TestFitExponent:
         assert 1.6 <= fit.slope <= 2.0
 
     def test_degenerate_zero_values(self):
-        profile = MeansProfile((0.3, 0.5, 0.7), (0.0, 1.0, 2.0), (0, 0, 0), "parseval")
+        profile = MeansProfile((0.3, 0.5, 0.7), (0.0, 1.0, 2.0), (0, 0, 0))
         with pytest.raises(DegenerateProfile):
             fit_exponent(profile)
 
     def test_degenerate_too_short(self):
-        profile = MeansProfile((0.3, 0.5), (1.0, 2.0), (0, 0), "parseval")
+        profile = MeansProfile((0.3, 0.5), (1.0, 2.0), (0, 0))
         with pytest.raises(DegenerateProfile):
             fit_exponent(profile)
 

@@ -13,7 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logmeans import geometric_radii, parse_function_spec, quadrature_means
-from logmeans.cli import MAX_ATOMS, MAX_RADII, MAX_TRUNC, _load_spec, main
+from logmeans.cli import (
+    MAX_ATOMS,
+    MAX_KMAX,
+    MAX_QUADRATURE_DEGREE,
+    MAX_RADII,
+    MAX_TRUNC,
+    _load_spec,
+    main,
+)
 from logmeans.jsonio import format_float
 
 MOBIUS = '{"type":"mobius"}'
@@ -85,6 +93,19 @@ class TestMeansCommand:
         assert code == 0
         assert out.split("\n")[0] == "r,I_parseval,tail_bound"
 
+    @pytest.mark.parametrize(
+        "exponent, columns",
+        [(MAX_QUADRATURE_DEGREE, 5), (MAX_QUADRATURE_DEGREE + 1, 3)],
+    )
+    def test_quadrature_column_rule_boundary(self, exponent, columns, capsys):
+        spec = {"type": "lacunary", "terms": [{"exponent": exponent, "im": 0.5}]}
+        code, out, _ = run_cli(
+            ["means", "--spec", json.dumps(spec), "--radii", "geometric:0.5,0.5,3"],
+            capsys,
+        )
+        assert code == 0
+        assert [len(line.split(",")) for line in out.splitlines()] == [columns] * 4
+
     def test_spec_from_file(self, tmp_path, capsys):
         spec_file = tmp_path / "fn.json"
         spec_file.write_text(MOBIUS)
@@ -144,9 +165,9 @@ class TestMeansCommand:
         assert code == 0
         p = parse_function_spec(THREE_ATOMS)
         radii = geometric_radii(0.5, 0.5, 20)
-        quad = quadrature_means(p, radii, 1 << trunc.bit_length(), trunc)
+        quad = quadrature_means(p.log_taylor(trunc), radii, 1 << trunc.bit_length())
         printed = [line.split(",")[3] for line in out.strip().split("\n")[1:]]
-        assert printed == [format_float(v) for v in quad.values]
+        assert printed == [format_float(v) for v in quad]
 
     @pytest.mark.parametrize("trunc", QUADRATURE_TRUNCS)
     def test_mobius_quadrature_matches_truncated_means(self, trunc, capsys):
@@ -243,6 +264,14 @@ class TestGaugeCommand:
         for row in doc["rows"]:
             assert row["ratio_to_floor"] >= 1.0 - 1e-10
 
+    def test_kmax_cap_is_inclusive(self, capsys):
+        code, out, _ = run_cli(["gauge", "--phi", "pow:1", "--kmax", str(MAX_KMAX)], capsys)
+        assert code == 0
+        assert out.splitlines()[-1].split(",")[0] == str(MAX_KMAX)
+        spec = {"type": "theorem3_gauge", "gauge": "pow:1", "k_max": MAX_KMAX}
+        code, _, _ = run_cli(["h2", "--spec", json.dumps(spec)], capsys)
+        assert code == 0
+
     def test_size_cap_error(self, capsys):
         code, _, err = run_cli(["gauge", "--phi", "powlog:2,0.5", "--kmax", "6"], capsys)
         assert code == 2
@@ -294,6 +323,10 @@ MALFORMED_ARGV = [
     ],
     ["h2", "--spec", TOO_MANY_ATOMS],
     ["means", "--spec", MOBIUS, "--radii", "geometric:0.5,0.9999999,1025"],
+    ["gauge", "--phi", "pow:1", "--kmax", "1025"],
+    ["report", "--kmax-gauge", "1025"],
+    ["h2", "--spec", '{"type":"theorem3_gauge","gauge":"pow:1","k_max":1025}'],
+    ["h2", "--spec", '{"type":"theorem3_gauge","gauge":"pow:1","k_max":"20000"}'],
 ]
 
 
@@ -401,6 +434,56 @@ def test_generated_argv_end_in_result_or_error_record(argv, tmp_path_factory):
         record = json.loads(err.getvalue().strip().split("\n")[-1])
         assert set(record) == {"schema", "error"}
         assert set(record["error"]) == {"name", "message"}
+
+
+LACUNARY = json.dumps(
+    {
+        "type": "lacunary",
+        "terms": [
+            {"exponent": 3, "re": 0.2},
+            {"exponent": 100, "im": 0.3},
+            {"exponent": 5000, "re": -0.1, "im": 0.2},
+            {"exponent": 2 ** 40, "im": 0.25},
+        ],
+    }
+)
+
+# Golden file under tests/golden/ -> argv.  The files were written once
+# from the code before the series types took over the Parseval and H^2
+# sums; they are never regenerated.  The means pins keep only the columns
+# r, I_parseval, tail_bound: the quadrature's last digits depend on numpy's
+# FFT and pairwise sum.
+GOLDEN_ARGV = {
+    "star_kmax53.csv": ["star", "--kmax", "53"],
+    "gauge_powlog2-2_kmax12.csv": ["gauge", "--phi", "powlog:2,2", "--kmax", "12"],
+    "gauge_powlog2-2_kmax12.json": [
+        "gauge", "--phi", "powlog:2,2", "--kmax", "12", "--format", "json"
+    ],
+    "h2_mobius.csv": ["h2", "--spec", MOBIUS],
+    "h2_three_atoms.csv": ["h2", "--spec", json.dumps(THREE_ATOMS)],
+    "h2_star.csv": ["h2", "--spec", '{"type":"theorem2_star","k_max":30}'],
+    "means_mobius.csv": ["means", "--spec", MOBIUS],
+    "means_three_atoms_trunc16384.csv": [
+        "means", "--spec", json.dumps(THREE_ATOMS), "--trunc", "16384"
+    ],
+    "means_lacunary.csv": ["means", "--spec", LACUNARY],
+}
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def golden_text(argv, capsys):
+    """Output of argv as pinned: the first three columns for means."""
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    if argv[0] == "means":
+        out = "".join(",".join(line.split(",")[:3]) + "\n" for line in out.splitlines())
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))
+def test_output_matches_golden(name, capsys):
+    with open(os.path.join(GOLDEN_DIR, name), encoding="utf-8") as handle:
+        assert golden_text(GOLDEN_ARGV[name], capsys) == handle.read()
 
 
 class TestDeterminism:

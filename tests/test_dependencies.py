@@ -27,3 +27,16 @@ def test_sources_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_imports_are_relative_stdlib_or_numpy(path):
     assert sorted(set(imported_modules(path)) - ALLOWED) == []
+
+
+def package_imports(path):
+    """Modules of the package that one source file imports relatively."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            yield node.module
+
+
+def test_means_works_on_coefficients_only():
+    # the means take series, not constructions: no caratheodory import
+    means = next(path for path in SOURCES if path.name == "means.py")
+    assert set(package_imports(means)) <= {"errors", "numerics", "series"}

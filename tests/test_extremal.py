@@ -77,7 +77,7 @@ class TestBuildStar:
             build_p_star(63)
         with pytest.raises(ValueError):
             build_p_star(0)
-        assert build_p_star(62).log_sparse().max_exponent == 2 ** 62
+        assert build_p_star(62).log_sparse().truncation_degree == 2 ** 62
 
 
 class TestCriticalRadii:
