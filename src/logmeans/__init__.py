@@ -54,7 +54,6 @@ from .means import (
 from .series import (
     DenseSeries,
     SparseSeries,
-    densify,
     evaluate,
     exp_series,
     log_series,
@@ -88,7 +87,6 @@ __all__ = [
     "choose_schedule",
     "corollary_report",
     "critical_radii_star",
-    "densify",
     "evaluate",
     "exp_series",
     "fit_exponent",

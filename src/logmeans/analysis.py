@@ -210,7 +210,7 @@ def corollary_report(
     for index, p in enumerate(suite):
         if p.schedule is None:
             continue
-        ratios = ratio_at_schedule(p, phi, p.schedule)
+        ratios = ratio_at_schedule(p, phi)
         for k, ratio in enumerate(ratios, start=1):
             floor = FLOOR_COEFF * float(k) ** 4
             floor_pass = floor_pass and ratio >= floor * (1.0 - 1e-10)
@@ -243,18 +243,18 @@ def corollary_report(
         ),
         None,
     )
-    if star is None or min(int(star[1].spec_dict["k_max"]), 53) < 5:
+    k_max = min(star[1].spec_dict["k_max"], 53) if star else 0
+    if k_max < 5:
         report.parts["least_exponent"] = {
             "status": "not_applicable",
             "pass": None,
         }
     else:
         index, p = star
-        k_max = min(int(p.spec_dict["k_max"]), 53)
         hi = max(k_max - 5, 3)
         lo = max(hi - 10, 1)
         star_radii = critical_radii_star(k_max)[lo - 1 : hi]
-        profile = parseval_means(p.log_sparse(), star_radii)
+        profile = parseval_means(p.log_coeffs(TRUNC_DEGREE), star_radii)
         fit = fit_exponent(profile)
         ok = all(fit.slope > t for t in THRESHOLDS)
         report.parts["least_exponent"] = {

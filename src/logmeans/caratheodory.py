@@ -1,10 +1,11 @@
 """Certified constructors for holomorphic functions with positive real part
 on the unit disc.
 
-Two constructions, each giving the log-coefficients of p and its point
-values: Herglotz (a kernel sum; the Mobius map (1+z)/(1-z) is its one-atom
-case) and LacunaryExp (exp of a sparse series).  Two analytic certification
-routes are implemented, and only these:
+Two constructions, each answering log_coeffs(degree) in its exact form and
+giving point values: Herglotz (a kernel sum, dense closed form; the Mobius
+map (1+z)/(1-z) is its one-atom case) and LacunaryExp (exp of a sparse
+series F, which it returns).  Two analytic certification routes are
+implemented, and only these:
 
 * ByConstruction: an atomic Herglotz kernel sum i*c + sum w_j*(z_j+z)/(z_j-z)
   with positive weights has positive real part term by term.
@@ -26,7 +27,6 @@ from .series import (
     AnySeries,
     DenseSeries,
     SparseSeries,
-    densify,
     evaluate,
     log_series,  # unused here; perfbench/tracing.py patches this name
 )
@@ -138,7 +138,7 @@ class Herglotz:
             lo, g_lo = np.where(up, mid, lo), np.where(up, g, g_lo)
             hi, g_hi = np.where(down, mid, hi), np.where(down, g, g_hi)
 
-    def log_taylor(self, degree: int) -> DenseSeries:
+    def log_coeffs(self, degree: int) -> DenseSeries:
         thetas, _ = self._merged_atoms()
         angles = np.concatenate([thetas, self.boundary_zeros()])
         out = _power_sums(angles, np.repeat([1.0, -1.0], thetas.size), degree)
@@ -178,47 +178,38 @@ class LacunaryExp:
 
     series: SparseSeries
 
-    def log_taylor(self, degree: int) -> DenseSeries:
-        return densify(self.series, degree)
+    def log_coeffs(self, degree: int) -> SparseSeries:
+        return self.series
 
     def value(self, z: complex) -> complex:
         return cmath.exp(evaluate(self.series, z))
 
 
 class CaratheodoryFunction:
-    """A function with positive real part together with its certificate.
+    """A function with positive real part, its certificate, its spec and the
+    schedule of a gauge-adapted build (else None), all fixed when built.
 
-    Log-Taylor coefficients are materialized lazily per requested truncation
-    degree and cached.  Cache fills are idempotent (same key, same value),
-    so unsynchronized concurrent first access is harmless.
+    Log-coefficients come from the construction, cached per degree.
     """
 
-    def __init__(self, construction, certificate, spec_dict: Dict):
+    def __init__(self, construction, certificate, spec_dict: Dict, schedule=None):
         self.construction = construction
         self.certificate = certificate
         self.spec_dict = spec_dict
-        self.schedule = None  # set by the gauge-adapted builder
-        self._log_cache: Dict[int, DenseSeries] = {}
-
-    def log_taylor(self, degree: int) -> DenseSeries:
-        """Taylor coefficients of log(p) to the given truncation degree."""
-        got = self._log_cache.get(degree)
-        if got is None:
-            got = self.construction.log_taylor(degree)
-            self._log_cache[degree] = got
-        return got
-
-    def log_sparse(self) -> Optional[SparseSeries]:
-        """Exact sparse log-coefficients when p = exp(sparse F), else None."""
-        if isinstance(self.construction, LacunaryExp):
-            return self.construction.series
-        return None
+        self.schedule = schedule
+        self._log_cache: Dict[int, AnySeries] = {}
 
     def log_coeffs(self, degree: int) -> AnySeries:
-        """The exact sparse log-coefficients when there are any, else the
-        dense ones to the given truncation degree."""
-        sparse = self.log_sparse()
-        return sparse if sparse is not None else self.log_taylor(degree)
+        """Taylor coefficients of log(p) in the construction's exact form:
+        all of them for a sparse series, up to the degree for a dense one."""
+        got = self._log_cache.get(degree)
+        if got is None:
+            got = self._log_cache[degree] = self.construction.log_coeffs(degree)
+        return got
+
+    def log_taylor(self, degree: int) -> DenseSeries:
+        """Dense Taylor coefficients of log(p) to the given degree."""
+        return self.log_coeffs(degree).dense(degree)
 
     def __call__(self, z: complex) -> complex:
         z = complex(z)
@@ -254,23 +245,24 @@ def from_herglotz(spec: HerglotzSpec) -> CaratheodoryFunction:
     return CaratheodoryFunction(Herglotz(spec), ByConstruction(), spec_dict)
 
 
-def from_lacunary(f: SparseSeries) -> CaratheodoryFunction:
+def from_lacunary(
+    f: SparseSeries, spec_dict: Optional[Dict] = None, schedule=None
+) -> CaratheodoryFunction:
     """p = exp(F) for a sparse F with sum of |coefficients| < pi/2 - MARGIN.
 
     The coefficient-magnitude sum bounds |Im F| on the closed disc, which
     keeps the image of p inside the right half plane.  Raises
-    ImaginaryBoundViolated when the sufficient condition fails.
+    ImaginaryBoundViolated when the sufficient condition fails.  Builders
+    of named families pass their own spec, and their schedule.
     """
     bound = f.abs_coeff_sum()
     if bound >= math.pi / 2.0 - MARGIN:
         raise ImaginaryBoundViolated(
             f"sum of |coefficients| = {bound:.12g} reaches pi/2 - {MARGIN:g}"
         )
-    spec_dict = {
-        "type": "lacunary",
-        "terms": [
-            {"exponent": e, "re": c.real, "im": c.imag} for e, c in f.terms
-        ],
-    }
-    return CaratheodoryFunction(LacunaryExp(f), ByImaginaryBound(bound), spec_dict)
-
+    if spec_dict is None:
+        terms = [{"exponent": e, "re": c.real, "im": c.imag} for e, c in f.terms]
+        spec_dict = {"type": "lacunary", "terms": terms}
+    return CaratheodoryFunction(
+        LacunaryExp(f), ByImaginaryBound(bound), spec_dict, schedule
+    )

@@ -35,7 +35,7 @@ from .extremal import (
 )
 from .jsonio import atomic_write_text, dumps_canonical, format_float, int_str
 from .means import geometric_radii, parseval_means, quadrature_means
-from .specs import parse_function_spec
+from .specs import integer_field, parse_function_spec
 
 H2_CEILING = math.pi ** 2 / 2.0
 
@@ -110,11 +110,8 @@ def _load_spec(text: str) -> CaratheodoryFunction:
     except ValueError:
         spec = text  # parse_function_spec reports the malformed JSON
     if isinstance(spec, dict) and spec.get("type") == "theorem3_gauge":
-        try:  # capped before parse_function_spec searches the schedule
-            k_max = int(spec["k_max"])
-        except (KeyError, TypeError, ValueError, OverflowError):
-            pass  # parse_function_spec reports the malformed k_max
-        else:
+        if "k_max" in spec:  # capped before parse_function_spec searches
+            k_max = integer_field(spec["k_max"], "k_max")
             _capped(k_max, MAX_KMAX, "a theorem3_gauge spec's k_max")
     p = parse_function_spec(spec)
     atoms = len(p.spec_dict.get("atoms", ()))
@@ -162,6 +159,7 @@ def _cmd_means(args) -> str:
     trunc = _capped(args.trunc, MAX_TRUNC, "--trunc")
     p = _load_spec(args.spec)
     radii = _parse_radii_spec(args.radii)
+    dense = p.log_taylor(trunc)  # computes the coefficients log_coeffs reuses
     a = p.log_coeffs(trunc)
     profile = parseval_means(a, radii)
     columns = ["r", "I_parseval", "tail_bound"]
@@ -170,8 +168,10 @@ def _cmd_means(args) -> str:
         for r, value, tail in zip(radii, profile.values, profile.tail_bounds)
     ]
     if a.truncation_degree <= MAX_QUADRATURE_DEGREE:
-        # smallest power of two >= trunc+1: exact, and a fast FFT length
-        quad = quadrature_means(p.log_taylor(trunc), radii, 1 << trunc.bit_length())
+        # smallest power of two >= trunc+1: exact, and a fast FFT length.
+        # Lacunary terms past trunc are dropped here, not in the Parseval
+        # column, so quad_rel_err then measures them, not the routes.
+        quad = quadrature_means(dense, radii, 1 << trunc.bit_length())
         columns += ["I_quadrature", "quad_rel_err"]
         for row, value in zip(rows, quad):
             row["I_quadrature"] = value

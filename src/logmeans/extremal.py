@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .caratheodory import CaratheodoryFunction, from_lacunary
 from .errors import (
@@ -195,9 +195,7 @@ def build_p_star(k_max: int) -> CaratheodoryFunction:
             f"k_max = {k_max} puts exponents past 2^{MAX_STAR_INDEX}"
         )
     terms = [(2 ** k, 0.5j / (k * k)) for k in range(1, k_max + 1)]
-    p = from_lacunary(SparseSeries(terms))
-    p.spec_dict = {"type": "theorem2_star", "k_max": k_max}
-    return p
+    return from_lacunary(SparseSeries(terms), {"type": "theorem2_star", "k_max": k_max})
 
 
 def critical_radii_star(k_max: int) -> List[float]:
@@ -215,29 +213,29 @@ def critical_radii_star(k_max: int) -> List[float]:
     return [math.exp(-(2.0 ** -k)) for k in range(1, k_max + 1)]
 
 
-def build_p_phi(schedule: ExponentSchedule) -> CaratheodoryFunction:
-    """exp((i/2) * sum z^(n_k)/k^2) for a chosen exponent schedule."""
+def build_p_phi(
+    schedule: ExponentSchedule, spec_dict: Optional[Dict] = None
+) -> CaratheodoryFunction:
+    """exp((i/2) * sum z^(n_k)/k^2) for a chosen exponent schedule, which
+    the function carries; the spec defaults to the lacunary one."""
     terms = [
         (n, 0.5j / (k * k)) for k, n in enumerate(schedule.n_k, start=1)
     ]
-    p = from_lacunary(SparseSeries(terms))
-    p.schedule = schedule
-    return p
+    return from_lacunary(SparseSeries(terms), spec_dict, schedule)
 
 
-def ratio_at_schedule(
-    p: CaratheodoryFunction, phi: Gauge, schedule: ExponentSchedule
-) -> List[float]:
-    """means/gauge at the exact adapted radii exp(-1/n_k).
+def ratio_at_schedule(p: CaratheodoryFunction, phi: Gauge) -> List[float]:
+    """means/gauge at the exact adapted radii exp(-1/n_k) of the schedule p
+    was built on.
 
     Both sides are evaluated in log space from the exact integers, so the
     ratios stay finite and meaningful even when means and gauge separately
     overflow every float."""
-    f = p.log_sparse()
-    if f is None:
-        raise ValueError("schedule ratios need a sparse log-representation")
+    if p.schedule is None:
+        raise ValueError("schedule ratios need a schedule-built function")
+    f = p.log_coeffs(max(p.schedule.n_k, default=0))
     out = []
-    for n in schedule.n_k:
+    for n in p.schedule.n_k:
         ln_means = parseval_log_value_at_inv_n(f, n)
         ln_gauge = _log_gauge_at_inv_n(phi, n)
         d = ln_means - ln_gauge
@@ -252,8 +250,7 @@ def star_sweep(k_max: int) -> List[dict]:
     r_k float is display-only.  Each row carries the single-term lower bound
     2*pi*e^-2*4^(k-1)/k^4 and the ratio of the full sum to it.
     """
-    p = build_p_star(k_max)
-    f = p.log_sparse()
+    f = build_p_star(k_max).log_coeffs(2 ** k_max)
     rows = []
     for k in range(1, k_max + 1):
         value = f.parseval_value(2.0 ** -k)
@@ -274,7 +271,7 @@ def gauge_sweep(phi: Gauge, k_max: int) -> Tuple[ExponentSchedule, List[dict]]:
     """Schedule plus per-index ratios means/gauge against the k^4 floor."""
     schedule = choose_schedule(phi, k_max)
     p = build_p_phi(schedule)
-    ratios = ratio_at_schedule(p, phi, schedule)
+    ratios = ratio_at_schedule(p, phi)
     rows = []
     for k, (n, ratio) in enumerate(zip(schedule.n_k, ratios), start=1):
         floor = FLOOR_COEFF * float(k) ** 4

@@ -67,7 +67,8 @@ def _check_radii(radii: Sequence[float]) -> None:
 
 
 def geometric_radii(start: float, factor: float, count: int) -> List[float]:
-    """Grid r_j = 1 - (1-start)*factor^j for j = 0..count-1, approaching 1."""
+    """Grid r_j = 1 - (1-start)*factor^j for j = 0..count-1, approaching 1;
+    RadiusOutOfRange once rounding collapses it onto 1.0 or stalls it."""
     if not (0.0 < start < 1.0):
         raise RadiusOutOfRange(f"start radius {start!r} not in (0, 1)")
     if not (0.0 < factor < 1.0):
@@ -80,6 +81,8 @@ def geometric_radii(start: float, factor: float, count: int) -> List[float]:
         r = 1.0 - gap * factor ** j
         if r >= 1.0:
             raise RadiusOutOfRange("grid collapsed onto the boundary")
+        if out and r <= out[-1]:
+            raise RadiusOutOfRange(f"grid stalled at r = {r!r}: factor too close to 1")
         out.append(r)
     return out
 

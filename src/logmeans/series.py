@@ -6,7 +6,7 @@ increasing integer exponents; exponents may be arbitrarily large Python
 integers, which is what makes the lacunary constructions representable.
 Both types sum their own Parseval means 2*pi * sum n^2 |a_n|^2 r^(2n) and
 H^2 partial sum sum |a_n|^2 over the nonconstant coefficients, with exact
-(fsum) summation.
+(fsum) summation, and both give their dense form to any degree (dense).
 
 The log/exp conversions use the classical O(N^2) convolution recurrences
 derived from p*F' = p' and p' = F'*p.  No construction takes its
@@ -71,15 +71,14 @@ class DenseSeries:
         """sum_{n=1..N} |c_n|^2."""
         return math.fsum(self._squared_moduli().tolist())
 
-    def resized(self, degree: int) -> "DenseSeries":
-        """Copy truncated or zero-padded to the given degree."""
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
-        n = self.coeffs.size
-        if degree + 1 <= n:
-            return DenseSeries(self.coeffs[: degree + 1])
+    def dense(self, degree: int) -> "DenseSeries":
+        """This series truncated or zero-padded to the given degree; the
+        series itself when the degree already matches."""
+        if degree == self.truncation_degree:
+            return self
+        n = min(self.coeffs.size, degree + 1)
         out = np.zeros(degree + 1, dtype=np.complex128)
-        out[:n] = self.coeffs
+        out[:n] = self.coeffs[:n]
         return DenseSeries(out)
 
     def __setattr__(self, name, value):
@@ -171,6 +170,16 @@ class SparseSeries:
     def abs_coeff_sum(self) -> float:
         return math.fsum(abs(c) for _, c in self.terms)
 
+    def dense(self, degree: int) -> DenseSeries:
+        """Dense series of the given degree holding the terms with exponent
+        <= degree."""
+        out = np.zeros(degree + 1, dtype=np.complex128)
+        for e, c in self.terms:
+            if e > degree:
+                break
+            out[e] = c
+        return DenseSeries(out)
+
     def __setattr__(self, name, value):
         raise AttributeError("SparseSeries is immutable")
 
@@ -235,19 +244,6 @@ def exp_series(f: DenseSeries) -> DenseSeries:
     for n in range(1, n_max + 1):
         b[n] = np.dot(ka[1 : n + 1], b[:n][::-1]) / n
     return DenseSeries(b)
-
-
-def densify(s: SparseSeries, degree: int) -> DenseSeries:
-    """Dense series of the given degree holding the sparse terms with
-    exponent <= degree."""
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    out = np.zeros(degree + 1, dtype=np.complex128)
-    for e, c in s.terms:
-        if e > degree:
-            break
-        out[e] = c
-    return DenseSeries(out)
 
 
 def evaluate(s: AnySeries, z: complex) -> complex:

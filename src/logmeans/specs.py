@@ -8,8 +8,9 @@ Accepted shapes:
     {"type": "theorem2_star", "k_max": K}
     {"type": "theorem3_gauge", "gauge": "<gauge string>", "k_max": K}
 
-Every constructed function carries its spec dict back on .spec_dict, so
-emitted specs re-parse to an equivalent function.
+Every function is built with its spec dict, which it carries on .spec_dict,
+so emitted specs re-parse to an equivalent function.  Integer fields
+(exponent, k_max) take JSON integers or integral floats such as 4.0 only.
 """
 
 from __future__ import annotations
@@ -27,6 +28,16 @@ from .caratheodory import (
 from .errors import ParseError, ToolkitError
 from .extremal import Gauge, build_p_phi, build_p_star, choose_schedule
 from .series import SparseSeries
+
+
+def integer_field(value, name: str) -> int:
+    """value as an int when it is a JSON integer or an integral float;
+    ParseError otherwise."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ParseError(f"{name} must be an integer, got {value!r}")
 
 
 def parse_function_spec(spec: Union[str, dict]) -> CaratheodoryFunction:
@@ -50,21 +61,22 @@ def parse_function_spec(spec: Union[str, dict]) -> CaratheodoryFunction:
             return from_herglotz(HerglotzSpec(atoms, float(spec.get("im_p0", 0.0))))
         if kind == "lacunary":
             terms = [
-                (int(t["exponent"]), complex(float(t.get("re", 0.0)), float(t.get("im", 0.0))))
+                (
+                    integer_field(t["exponent"], "exponent"),
+                    complex(float(t.get("re", 0.0)), float(t.get("im", 0.0))),
+                )
                 for t in spec.get("terms", [])
             ]
             return from_lacunary(SparseSeries(terms))
         if kind == "theorem2_star":
-            return build_p_star(int(spec["k_max"]))
+            return build_p_star(integer_field(spec["k_max"], "k_max"))
         if kind == "theorem3_gauge":
             gauge = Gauge.from_string(str(spec["gauge"]))
-            p = build_p_phi(choose_schedule(gauge, int(spec["k_max"])))
-            p.spec_dict = {
-                "type": "theorem3_gauge",
-                "gauge": gauge.label(),
-                "k_max": int(spec["k_max"]),
-            }
-            return p
+            k_max = integer_field(spec["k_max"], "k_max")
+            return build_p_phi(
+                choose_schedule(gauge, k_max),
+                {"type": "theorem3_gauge", "gauge": gauge.label(), "k_max": k_max},
+            )
     except ToolkitError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -99,9 +99,7 @@ def test_criterion_03_h2_ceiling_and_saturation(certified_suite):
     ceiling = PI ** 2 / 2.0
     ok = True
     for p in certified_suite:
-        f = p.log_sparse()
-        if f is None:
-            f = p.log_taylor(512)
+        f = p.log_coeffs(512)
         ok = ok and f.h2_sum() <= ceiling + 1e-12
     # saturation: 10^6 coefficients of the mobius log-series
     big = mobius().log_taylor(10 ** 6).h2_sum()
@@ -119,9 +117,7 @@ def test_criterion_04_uniform_bound(certified_suite, dyadic_grid):
     t0 = time.perf_counter()
     worst = -math.inf
     for p in certified_suite:
-        f = p.log_sparse()
-        if f is None:
-            f = p.log_taylor(2048)
+        f = p.log_coeffs(2048)
         profile = parseval_means(f, dyadic_grid)
         for normalized, tail in zip(little_o_check(profile), profile.tail_bounds):
             excess = normalized - tail if math.isfinite(tail) else -math.inf
@@ -264,7 +260,7 @@ def test_criterion_10_exponent_fits():
     ok = ok and abs(fit0.slope - 1.0) <= 0.02
     star = build_p_star(40)
     fit_star = fit_exponent(
-        parseval_means(star.log_sparse(), critical_radii_star(35)[14:])
+        parseval_means(star.log_coeffs(2 ** 40), critical_radii_star(35)[14:])
     )
     ok = ok and 1.6 <= fit_star.slope <= 2.0
     elapsed = time.perf_counter() - t0

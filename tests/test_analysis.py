@@ -47,7 +47,7 @@ class TestFitExponent:
     def test_star_slope_window(self):
         p = build_p_star(40)
         radii = critical_radii_star(35)[14:]  # k = 15..35
-        profile = parseval_means(p.log_sparse(), radii)
+        profile = parseval_means(p.log_coeffs(2 ** 40), radii)
         fit = fit_exponent(profile)
         assert 1.6 <= fit.slope <= 2.0
 
@@ -89,7 +89,7 @@ class TestLittleO:
     def test_truncated_star_eventually_decreases(self):
         p = build_p_star(20)
         radii = [1.0 - 2.0 ** -j for j in range(1, 31)]
-        profile = parseval_means(p.log_sparse(), radii)
+        profile = parseval_means(p.log_coeffs(2 ** 20), radii)
         seq = little_o_check(profile)
         tail = seq[-6:]
         assert all(a > b for a, b in zip(tail, tail[1:]))

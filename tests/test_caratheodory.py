@@ -168,7 +168,7 @@ class TestHerglotzLogCoefficients:
         oracle = oracle_log_coeffs(spec, ns)
         scale = max(n * abs(oracle[n]) for n in ns)
         p = Herglotz(spec)
-        closed = p.log_taylor(degree).coeffs
+        closed = p.log_coeffs(degree).coeffs
         # Taylor coefficients of p: b_n = 2 * sum_j w_j * zeta_j^-n
         taylor = 2.0 * caratheodory._power_sums(*p._merged_atoms(), degree)
         taylor[0] = spec.total_mass + 1j * spec.im_p0
@@ -184,7 +184,7 @@ class TestHerglotzLogCoefficients:
     def test_one_atom_exact(self, theta, weight, im_p0):
         # the zero is -zeta*(w + i*c)/(w - i*c), so a_n = zeta^-n (1 - (-q)^n)/n
         # with q = (w - i*c)/(w + i*c)
-        a = Herglotz(HerglotzSpec([(theta, weight)], im_p0)).log_taylor(2 ** 16).coeffs
+        a = Herglotz(HerglotzSpec([(theta, weight)], im_p0)).log_coeffs(2 ** 16).coeffs
         with mpmath.workdps(40):
             q = mpmath.mpc(weight, -im_p0) / mpmath.mpc(weight, im_p0)
             for n in (1, 2, 3, 10, 999, 4096, 50001, 2 ** 16):
@@ -197,7 +197,7 @@ class TestHerglotzLogCoefficients:
     def test_duplicate_angle_merges(self):
         split = Herglotz(HerglotzSpec([(1.0, 0.25), (4.0, 2.0), (1.0, 0.5)], 0.3))
         merged = Herglotz(HerglotzSpec([(1.0, 0.75), (4.0, 2.0)], 0.3))
-        a, b = split.log_taylor(5000).coeffs, merged.log_taylor(5000).coeffs
+        a, b = split.log_coeffs(5000).coeffs, merged.log_coeffs(5000).coeffs
         assert np.array_equal(a, b)
 
     def test_zeros_interlace_with_atoms(self):

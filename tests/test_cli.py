@@ -216,6 +216,23 @@ class TestMeansCommand:
 
 
 class TestH2Command:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"type": "lacunary", "terms": [{"exponent": 4.0, "re": 0.1}]},
+            {"type": "theorem2_star", "k_max": 4.0},
+            {"type": "theorem3_gauge", "gauge": "pow:1.0", "k_max": 4.0},
+        ],
+    )
+    def test_integral_float_fields_read_as_integers(self, spec, capsys):
+        as_int = json.loads(json.dumps(spec).replace("4.0", "4"))
+        assert json.dumps(spec) != json.dumps(as_int)
+        outputs = [
+            run_cli(["h2", "--spec", json.dumps(s), "--format", "json"], capsys)
+            for s in (spec, as_int)
+        ]
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
     def test_atom_cap_is_inclusive(self):
         # checked at load time; no log-coefficients are computed
         p = _load_spec(kernel_sum(MAX_ATOMS))
@@ -327,6 +344,16 @@ MALFORMED_ARGV = [
     ["report", "--kmax-gauge", "1025"],
     ["h2", "--spec", '{"type":"theorem3_gauge","gauge":"pow:1","k_max":1025}'],
     ["h2", "--spec", '{"type":"theorem3_gauge","gauge":"pow:1","k_max":"20000"}'],
+    ["means", "--spec", MOBIUS, "--radii", "geometric:0.5,0.9999999999999999,2"],
+    ["h2", "--spec", '{"type":"lacunary","terms":[{"exponent":2.5,"re":0.1}]}'],
+    ["h2", "--spec", '{"type":"lacunary","terms":[{"exponent":true,"re":0.1}]}'],
+    ["h2", "--spec", '{"type":"lacunary","terms":[{"exponent":"3","re":0.1}]}'],
+    ["h2", "--spec", '{"type":"lacunary","terms":[{"exponent":NaN,"re":0.1}]}'],
+    ["h2", "--spec", '{"type":"theorem2_star","k_max":3.9}'],
+    ["h2", "--spec", '{"type":"theorem2_star","k_max":true}'],
+    ["h2", "--spec", '{"type":"theorem3_gauge","gauge":"pow:1","k_max":2.5}'],
+    ["h2", "--spec", '{"type":"theorem3_gauge","gauge":"pow:1","k_max":true}'],
+    ["h2", "--spec", '{"type":"theorem3_gauge","gauge":"pow:1","k_max":"3"}'],
 ]
 
 

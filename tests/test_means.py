@@ -150,18 +150,14 @@ class TestH2Sum:
 
     def test_suite_under_ceiling(self, certified_suite):
         for p in certified_suite:
-            f = p.log_sparse()
-            if f is None:
-                f = p.log_taylor(512)
+            f = p.log_coeffs(512)
             assert f.h2_sum() <= PI ** 2 / 2 + 1e-12
 
 
 class TestClassBounds:
     def test_uniform_bound_over_suite(self, certified_suite, dyadic_grid):
         for p in certified_suite:
-            f = p.log_sparse()
-            if f is None:
-                f = p.log_taylor(2048)
+            f = p.log_coeffs(2048)
             profile = parseval_means(f, dyadic_grid)
             for value, normalized, tail in zip(
                 profile.values, little_o_check(profile), profile.tail_bounds
@@ -180,9 +176,9 @@ class TestClassBounds:
 
     def test_cross_method_identity_over_suite(self, certified_suite):
         for p in certified_suite:
-            if p.log_sparse() is not None:
-                continue  # dense materialization covered separately
             trunc = 256
+            if isinstance(p.log_coeffs(trunc), SparseSeries):
+                continue  # dense materialization covered separately
             radii = [0.3, 0.6, 0.9]
             pv = parseval_means(p.log_taylor(trunc), radii)
             quad = quadrature_means(p.log_taylor(trunc), radii, 2 * trunc + 1)
@@ -202,6 +198,11 @@ class TestGrids:
             geometric_radii(1.5, 0.5, 3)
         with pytest.raises(ValueError):
             geometric_radii(0.5, 1.5, 3)
+
+    def test_geometric_stall(self):
+        # 1 - 0.5*factor rounds back to 0.5: the grid would repeat a radius
+        with pytest.raises(RadiusOutOfRange, match="stalled"):
+            geometric_radii(0.5, 0.9999999999999999, 2)
 
     def test_profile_invariants(self):
         with pytest.raises(RadiusOutOfRange):

@@ -14,7 +14,6 @@ from logmeans import (
     NearZeroConstantTerm,
     OutsideDisc,
     SparseSeries,
-    densify,
     evaluate,
     exp_series,
     log_series,
@@ -26,7 +25,7 @@ F_STAR_AT_09 = 0.5174211592951295290948963j
 
 class TestLogSeries:
     def test_mercator(self):
-        p = DenseSeries([1, 1]).resized(5)
+        p = DenseSeries([1, 1]).dense(5)
         out = log_series(p)
         expected = [0] + [(-1) ** (n + 1) / n for n in range(1, 6)]
         assert np.allclose(out.coeffs, expected, atol=1e-15)
@@ -57,7 +56,7 @@ class TestExpSeries:
         assert np.allclose(out.coeffs, expected)
 
     def test_exp_z(self):
-        out = exp_series(DenseSeries([0, 1]).resized(4))
+        out = exp_series(DenseSeries([0, 1]).dense(4))
         assert np.allclose(out.coeffs, [1, 1, 0.5, 1 / 6, 1 / 24])
 
     def test_exp_log_round_trip_mobius(self):
@@ -100,17 +99,17 @@ class TestExpSeries:
 
 class TestDensify:
     def test_placement(self):
-        out = densify(SparseSeries([(2, 0.5j)]), 4)
+        out = SparseSeries([(2, 0.5j)]).dense(4)
         assert out.coeffs.tolist() == [0, 0, 0.5j, 0, 0]
 
     def test_dyadic_exponents(self):
         s = SparseSeries([(2 ** k, 0.5j / k ** 2) for k in range(1, 31)])
-        out = densify(s, 16)
+        out = s.dense(16)
         nonzero = np.nonzero(out.coeffs)[0].tolist()
         assert nonzero == [2, 4, 8, 16]
 
     def test_empty(self):
-        out = densify(SparseSeries([]), 3)
+        out = SparseSeries([]).dense(3)
         assert out.coeffs.tolist() == [0, 0, 0, 0]
 
 
@@ -136,7 +135,7 @@ class TestEvaluate:
     def test_densify_consistency(self):
         s = SparseSeries([(1, 0.3), (4, -0.2j), (9, 0.1 + 0.1j), (40, 1.0)])
         for z in (0.35, -0.8, 0.6 + 0.6j):
-            dense_val = evaluate(densify(s, 16), z)
+            dense_val = evaluate(s.dense(16), z)
             sparse_val = evaluate(SparseSeries([t for t in s.terms if t[0] <= 16]), z)
             assert abs(dense_val - sparse_val) <= 1e-14 * max(1.0, abs(dense_val))
 
@@ -166,4 +165,4 @@ class TestValidation:
     def test_resized_round_trip(self, seed):
         rng = np.random.default_rng(seed)
         s = DenseSeries(rng.standard_normal(12))
-        assert s.resized(20).resized(11) == s
+        assert s.dense(20).dense(11) == s
