@@ -27,7 +27,6 @@ from .errors import (
     ImaginaryBoundViolated,
     InvalidMeasure,
     NearZeroConstantTerm,
-    OutsideDisc,
     ParseError,
     RadiusOutOfRange,
     ToolkitError,
@@ -54,7 +53,6 @@ from .means import (
 from .series import (
     DenseSeries,
     SparseSeries,
-    evaluate,
     exp_series,
     log_series,
 )
@@ -75,7 +73,6 @@ __all__ = [
     "InvalidMeasure",
     "MeansProfile",
     "NearZeroConstantTerm",
-    "OutsideDisc",
     "ParseError",
     "RadiusOutOfRange",
     "Report",
@@ -87,7 +84,6 @@ __all__ = [
     "choose_schedule",
     "corollary_report",
     "critical_radii_star",
-    "evaluate",
     "exp_series",
     "fit_exponent",
     "from_herglotz",

@@ -1,8 +1,8 @@
 """Growth-scale diagnostics over means profiles.
 
 fit_exponent estimates the effective exponent beta in means ~ (1-r)^-beta by
-least squares of log(means) against log(1/(1-r)); the window used and the
-worst log-residual are part of the result, never hidden.
+least squares of log(means) against log(1/(1-r)); the worst log-residual
+is part of the result, never hidden.
 
 little_o_check returns the normalized sequence (1-r)^2 * means, whose decay
 toward 0 is the per-function refinement of the class-wide quadratic bound.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from .caratheodory import CaratheodoryFunction
 from .errors import DegenerateProfile
@@ -45,35 +45,27 @@ TREND_POINTS = 5
 
 @dataclass(frozen=True)
 class GrowthFit:
-    """Fitted growth exponent over a window of a means profile."""
+    """Fitted growth exponent over a means profile."""
 
     slope: float
     intercept: float
     residual: float
-    window: Tuple[int, int]
 
 
-def fit_exponent(
-    profile: MeansProfile, window: Optional[Tuple[int, int]] = None
-) -> GrowthFit:
-    """Least-squares slope of log(means) against log(1/(1-r)).
+def fit_exponent(profile: MeansProfile) -> GrowthFit:
+    """Least-squares slope of log(means) against log(1/(1-r)) over the
+    whole profile.
 
-    window is an inclusive index pair into the profile; the full profile by
-    default.  Raises DegenerateProfile for fewer than 3 points or any
-    nonpositive value inside the window.
+    Raises DegenerateProfile for fewer than 3 points or any nonpositive
+    value.
     """
-    n = len(profile.radii)
-    lo, hi = window if window is not None else (0, n - 1)
-    if not (0 <= lo <= hi < n):
-        raise ValueError(f"window {window!r} out of range for {n} points")
-    if hi - lo + 1 < 3:
+    if len(profile.radii) < 3:
         raise DegenerateProfile("need at least 3 points to fit")
     xs, ys = [], []
-    for j in range(lo, hi + 1):
-        value = profile.values[j]
+    for j, (r, value) in enumerate(zip(profile.radii, profile.values)):
         if not value > 0.0 or math.isinf(value):
             raise DegenerateProfile(f"value {value!r} at index {j} unusable")
-        xs.append(-math.log(1.0 - profile.radii[j]))
+        xs.append(-math.log(1.0 - r))
         ys.append(math.log(value))
     m = len(xs)
     mean_x = math.fsum(xs) / m
@@ -83,7 +75,7 @@ def fit_exponent(
     slope = sxy / sxx
     intercept = mean_y - slope * mean_x
     residual = max(abs(y - (slope * x + intercept)) for x, y in zip(xs, ys))
-    return GrowthFit(slope, intercept, residual, (lo, hi))
+    return GrowthFit(slope, intercept, residual)
 
 
 def little_o_check(profile: MeansProfile) -> List[float]:

@@ -1,11 +1,11 @@
 """Certified constructors for holomorphic functions with positive real part
 on the unit disc.
 
-Two constructions, each answering log_coeffs(degree) in its exact form and
-giving point values: Herglotz (a kernel sum, dense closed form; the Mobius
-map (1+z)/(1-z) is its one-atom case) and LacunaryExp (exp of a sparse
-series F, which it returns).  Two analytic certification routes are
-implemented, and only these:
+Two constructions, each answering log_coeffs(degree) in its exact form:
+Herglotz (a kernel sum, dense closed form; the Mobius map (1+z)/(1-z) is
+its one-atom case) and LacunaryExp (exp of a sparse series F, which it
+returns).  Two analytic certification routes are implemented, and only
+these:
 
 * ByConstruction: an atomic Herglotz kernel sum i*c + sum w_j*(z_j+z)/(z_j-z)
   with positive weights has positive real part term by term.
@@ -22,12 +22,11 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ImaginaryBoundViolated, InvalidMeasure, OutsideDisc
+from .errors import ImaginaryBoundViolated, InvalidMeasure
 from .series import (
     AnySeries,
     DenseSeries,
     SparseSeries,
-    evaluate,
     log_series,  # unused here; perfbench/tracing.py patches this name
 )
 
@@ -146,13 +145,6 @@ class Herglotz:
         out[0] = cmath.log(complex(self.spec.total_mass, self.spec.im_p0))
         return DenseSeries(out)
 
-    def value(self, z: complex) -> complex:
-        acc = 1j * self.spec.im_p0
-        for theta, w in self.spec.atoms:
-            zeta = cmath.exp(1j * theta)
-            acc += w * (zeta + z) / (zeta - z)
-        return acc
-
 
 def _power_sums(angles: np.ndarray, weights: np.ndarray, degree: int) -> np.ndarray:
     """sum_j weights_j * exp(-i*n*angles_j) for n = 0..degree.
@@ -181,9 +173,6 @@ class LacunaryExp:
     def log_coeffs(self, degree: int) -> SparseSeries:
         return self.series
 
-    def value(self, z: complex) -> complex:
-        return cmath.exp(evaluate(self.series, z))
-
 
 class CaratheodoryFunction:
     """A function with positive real part, its certificate, its spec and the
@@ -210,12 +199,6 @@ class CaratheodoryFunction:
     def log_taylor(self, degree: int) -> DenseSeries:
         """Dense Taylor coefficients of log(p) to the given degree."""
         return self.log_coeffs(degree).dense(degree)
-
-    def __call__(self, z: complex) -> complex:
-        z = complex(z)
-        if abs(z) > 1.0 + 1e-15:
-            raise OutsideDisc(f"|z| = {abs(z):.6f} > 1")
-        return self.construction.value(z)
 
     def __repr__(self) -> str:
         return (

@@ -35,7 +35,7 @@ from .extremal import (
 )
 from .jsonio import atomic_write_text, dumps_canonical, format_float, int_str
 from .means import geometric_radii, parseval_means, quadrature_means
-from .specs import integer_field, parse_function_spec
+from .specs import decode_spec, integer_field, parse_function_spec
 
 H2_CEILING = math.pi ** 2 / 2.0
 
@@ -105,10 +105,7 @@ def _load_spec(text: str) -> CaratheodoryFunction:
                 text = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read spec file {text[1:]!r}: {exc}") from None
-    try:
-        spec = json.loads(text)
-    except ValueError:
-        spec = text  # parse_function_spec reports the malformed JSON
+    spec = decode_spec(text)
     if isinstance(spec, dict) and spec.get("type") == "theorem3_gauge":
         if "k_max" in spec:  # capped before parse_function_spec searches
             k_max = integer_field(spec["k_max"], "k_max")

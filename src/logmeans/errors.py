@@ -17,10 +17,6 @@ class NearZeroConstantTerm(ToolkitError):
     """Logarithm requested for a series whose constant term is (near) zero."""
 
 
-class OutsideDisc(ToolkitError):
-    """Evaluation point lies outside the closed unit disc."""
-
-
 class InvalidMeasure(ToolkitError):
     """Atomic boundary measure with a nonpositive weight."""
 

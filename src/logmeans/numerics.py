@@ -83,17 +83,3 @@ def gap_from_inv_n(n: int) -> float:
     if n > DIRECT_N_LIMIT:
         raise OverflowError("gap underflows the double range; use log form")
     return -math.expm1(-1.0 / n)
-
-
-def binary_power(z: complex, e: int) -> complex:
-    """z**e by repeated squaring; well defined for arbitrarily large e."""
-    if e < 0:
-        raise ValueError("negative exponent")
-    result = complex(1.0)
-    base = complex(z)
-    while e:
-        if e & 1:
-            result *= base
-        base *= base
-        e >>= 1
-    return result

@@ -22,8 +22,8 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import NearZeroConstantTerm, OutsideDisc, RadiusOutOfRange
-from .numerics import binary_power, exp_neg_scaled
+from .errors import NearZeroConstantTerm, RadiusOutOfRange
+from .numerics import exp_neg_scaled
 
 TWO_PI = 2.0 * math.pi
 
@@ -86,14 +86,6 @@ class DenseSeries:
             raise AttributeError("DenseSeries is immutable")
         object.__setattr__(self, name, value)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DenseSeries) and np.array_equal(
-            self.coeffs, other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(self.coeffs.tobytes())
-
     def __repr__(self) -> str:
         head = ", ".join(f"{c:.6g}" for c in self.coeffs[:4])
         tail = ", ..." if self.coeffs.size > 4 else ""
@@ -125,10 +117,6 @@ class SparseSeries:
             if c != 0:
                 cleaned.append((e, c))
         object.__setattr__(self, "terms", tuple(cleaned))
-
-    @property
-    def exponents(self) -> Tuple[int, ...]:
-        return tuple(e for e, _ in self.terms)
 
     @property
     def truncation_degree(self) -> int:
@@ -182,12 +170,6 @@ class SparseSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseSeries is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SparseSeries) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.terms)
 
     def __repr__(self) -> str:
         return f"SparseSeries({len(self.terms)} terms, degree={self.truncation_degree})"
@@ -244,24 +226,3 @@ def exp_series(f: DenseSeries) -> DenseSeries:
     for n in range(1, n_max + 1):
         b[n] = np.dot(ka[1 : n + 1], b[:n][::-1]) / n
     return DenseSeries(b)
-
-
-def evaluate(s: AnySeries, z: complex) -> complex:
-    """Point value on the closed unit disc.
-
-    Dense series use Horner evaluation; sparse series sum coefficient *
-    z**exponent with binary powering per exponent, so arbitrarily large
-    exponents are fine (the powers underflow gracefully for |z| < 1).
-    """
-    z = complex(z)
-    if abs(z) > 1.0 + 1e-15:
-        raise OutsideDisc(f"|z| = {abs(z):.6f} > 1")
-    if isinstance(s, DenseSeries):
-        acc = 0j
-        for c in s.coeffs[::-1]:
-            acc = acc * z + c
-        return complex(acc)
-    acc = 0j
-    for e, c in s.terms:
-        acc += c * binary_power(z, e)
-    return acc

@@ -40,13 +40,20 @@ def integer_field(value, name: str) -> int:
     raise ParseError(f"{name} must be an integer, got {value!r}")
 
 
+def decode_spec(text: str):
+    """The JSON value of text.  ParseError when it is malformed, nested
+    past the recursion limit, or holds an integer past Python's
+    int-to-string digit limit (4,300 digits)."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"function spec is not valid JSON: {exc}") from None
+
+
 def parse_function_spec(spec: Union[str, dict]) -> CaratheodoryFunction:
     """Build a certified function from a JSON object or JSON text."""
     if isinstance(spec, str):
-        try:
-            spec = json.loads(spec)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"function spec is not valid JSON: {exc}") from None
+        spec = decode_spec(spec)
     if not isinstance(spec, dict):
         raise ParseError("function spec must be a JSON object")
     kind = spec.get("type")

@@ -36,7 +36,6 @@ class TestFitExponent:
         fit = fit_exponent(synthetic_profile(beta))
         assert fit.slope == pytest.approx(beta, abs=1e-12)
         assert fit.residual < 1e-12
-        assert fit.window == (0, 11)
 
     def test_mobius_slope_near_one(self):
         radii = [1.0 - 2.0 ** -j for j in range(4, 15)]
@@ -60,14 +59,6 @@ class TestFitExponent:
         profile = MeansProfile((0.3, 0.5), (1.0, 2.0), (0, 0))
         with pytest.raises(DegenerateProfile):
             fit_exponent(profile)
-
-    def test_window_selection(self):
-        profile = synthetic_profile(1.0)
-        fit = fit_exponent(profile, window=(3, 8))
-        assert fit.window == (3, 8)
-        assert fit.slope == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ValueError):
-            fit_exponent(profile, window=(5, 99))
 
 
 class TestLittleO:

@@ -35,6 +35,11 @@ def kernel_sum(atoms):
 
 TOO_MANY_ATOMS = kernel_sum(MAX_ATOMS + 1)
 
+# JSON that the decoder refuses: nesting past the recursion limit, and an
+# integer past the 4,300-digit int-to-string limit.
+TOO_DEEP = "[" * 1500
+TOO_MANY_DIGITS = '{"type":"theorem2_star","k_max":%s}' % ("9" * 4301)
+
 THREE_ATOMS = {
     "type": "herglotz",
     "atoms": [
@@ -354,12 +359,19 @@ MALFORMED_ARGV = [
     ["h2", "--spec", '{"type":"theorem3_gauge","gauge":"pow:1","k_max":2.5}'],
     ["h2", "--spec", '{"type":"theorem3_gauge","gauge":"pow:1","k_max":true}'],
     ["h2", "--spec", '{"type":"theorem3_gauge","gauge":"pow:1","k_max":"3"}'],
+    ["h2", "--spec", TOO_DEEP],
+    ["h2", "--spec", TOO_MANY_DIGITS],
 ]
 
 
 def argv_id(argv):
-    """The command line, with the long kernel-sum spec abbreviated."""
-    return " ".join(argv).replace(TOO_MANY_ATOMS, f"<{MAX_ATOMS + 1} atoms>")
+    """The command line, with the long specs abbreviated."""
+    return (
+        " ".join(argv)
+        .replace(TOO_MANY_ATOMS, f"<{MAX_ATOMS + 1} atoms>")
+        .replace(TOO_DEEP, "<1500 open brackets>")
+        .replace(TOO_MANY_DIGITS, "<k_max of 4301 digits>")
+    )
 
 
 @pytest.mark.parametrize("argv", MALFORMED_ARGV, ids=argv_id)
