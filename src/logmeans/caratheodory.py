@@ -11,6 +11,10 @@ these:
   with positive weights has positive real part term by term.
 * ByImaginaryBound: p = exp(F) for a sparse F whose coefficient magnitudes
   sum to B < pi/2, so |Im F| <= B and Re p = e^{Re F} * cos(Im F) > 0.
+
+Only Herglotz computes with numpy (its zeros and power sums are array
+work), and it imports numpy in those methods; LacunaryExp and
+CaratheodoryFunction need none.
 """
 
 from __future__ import annotations
@@ -18,9 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from .errors import ImaginaryBoundViolated, InvalidMeasure
 from .series import (
@@ -29,6 +31,9 @@ from .series import (
     SparseSeries,
     log_series,  # unused here; perfbench/tracing.py patches this name
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Safety margin below pi/2 for the coefficient-magnitude sum.
 MARGIN = 1e-9
@@ -104,6 +109,7 @@ class Herglotz:
 
     def _merged_atoms(self) -> Tuple[np.ndarray, np.ndarray]:
         """The distinct atom angles, sorted, and the summed weight at each."""
+        import numpy as np
         thetas, weights = np.array(self.spec.atoms).T
         angles, index = np.unique(thetas, return_inverse=True)
         return angles, np.bincount(index, weights=weights)
@@ -117,6 +123,7 @@ class Herglotz:
         bisection on its sign brackets every zero down to adjacent doubles;
         the endpoint with the smaller |p| is returned.
         """
+        import numpy as np
         thetas, weights = self._merged_atoms()
         mass = weights.sum()  # the zeros do not depend on the scale
         weights, c = weights / mass, self.spec.im_p0 / mass
@@ -138,6 +145,7 @@ class Herglotz:
             hi, g_hi = np.where(down, mid, hi), np.where(down, g, g_hi)
 
     def log_coeffs(self, degree: int) -> DenseSeries:
+        import numpy as np
         thetas, _ = self._merged_atoms()
         angles = np.concatenate([thetas, self.boundary_zeros()])
         out = _power_sums(angles, np.repeat([1.0, -1.0], thetas.size), degree)
@@ -154,6 +162,7 @@ def _power_sums(angles: np.ndarray, weights: np.ndarray, degree: int) -> np.ndar
     build up along n as it would through cumulative products, and the sum
     over j is one matrix product per chunk of angles.
     """
+    import numpy as np
     heads = np.arange(degree // BLOCK + 1) * float(BLOCK)
     steps = np.arange(BLOCK, dtype=np.float64)
     out = np.zeros((heads.size, BLOCK), dtype=np.complex128)

@@ -118,9 +118,13 @@ class ExponentSchedule:
 
 def _log_gauge_at_inv_n(phi: Gauge, n: int) -> float:
     """log gauge(exp(-1/n)), choosing the same arithmetic the schedule
-    predicate uses so inequalities verified there survive verbatim."""
+    predicate uses so inequalities verified there survive verbatim.  Where
+    the direct value underflows to 0.0 (a large log exponent b) or is not
+    finite, the log form is used instead."""
     if n <= DIRECT_N_LIMIT:
-        return math.log(phi.value_from_gap(gap_from_inv_n(n)))
+        value = phi.value_from_gap(gap_from_inv_n(n))
+        if 0.0 < value < math.inf:
+            return math.log(value)
     return phi.log_value_from_neglog_gap(neglog_gap_from_inv_n(n))
 
 

@@ -20,6 +20,10 @@ with monotonicity of n^2 r^(2n) past n = 1/log(1/r), giving
 pi^3 * (N+1)^2 * r^(2(N+1)) where that monotonicity holds and +inf where it
 does not.  The coefficient route accumulates with exact (fsum) summation;
 the quadrature sums its positive squares with numpy's pairwise sum.
+
+Only quadrature_means imports numpy, for its FFT; the coefficient route and
+the log-domain value at exp(-1/n) run on whatever series they are given,
+so sparse means need no numpy.
 """
 
 from __future__ import annotations
@@ -27,8 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
-
-import numpy as np
 
 from .errors import RadiusOutOfRange
 from .numerics import float_ratio, logsumexp
@@ -156,6 +158,7 @@ def quadrature_means(
     route checks the FFT and the summation, not the coefficients; its
     truncation tail is parseval_means'.
     """
+    import numpy as np
     _check_radii(radii)
     if quadrature_points < f.truncation_degree + 1:
         raise ValueError("need at least truncation_degree+1 quadrature points")

@@ -12,18 +12,24 @@ The log/exp conversions use the classical O(N^2) convolution recurrences
 derived from p*F' = p' and p' = F'*p.  No construction takes its
 log-coefficients from log_series: they are exact or, for kernel sums, in
 closed form at O(N*J) cost for J atoms (caratheodory.Herglotz).
+
+numpy is imported only where a dense array is built or read (DenseSeries,
+SparseSeries.dense, log_series, exp_series): SparseSeries works with big
+integers and math alone, so the lacunary constructions and the commands
+built on them start without numpy's import cost.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Sequence, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence, Tuple, Union
 
 from .errors import NearZeroConstantTerm, RadiusOutOfRange
 from .numerics import exp_neg_scaled
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,6 +43,7 @@ class DenseSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Union[Sequence[complex], np.ndarray]):
+        import numpy as np
         arr = np.asarray(coeffs, dtype=np.complex128).copy()
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coeffs must be a nonempty 1-d sequence")
@@ -63,6 +70,7 @@ class DenseSeries:
         -log(r) > 0."""
         if neglog_r <= 0.0:
             raise RadiusOutOfRange("radius must be < 1")
+        import numpy as np
         n = np.arange(1, self.coeffs.size, dtype=np.float64)
         w = (n * n) * self._squared_moduli()
         return TWO_PI * math.fsum((w * np.exp(-2.0 * neglog_r * n)).tolist())
@@ -76,6 +84,7 @@ class DenseSeries:
         series itself when the degree already matches."""
         if degree == self.truncation_degree:
             return self
+        import numpy as np
         n = min(self.coeffs.size, degree + 1)
         out = np.zeros(degree + 1, dtype=np.complex128)
         out[:n] = self.coeffs[:n]
@@ -161,6 +170,7 @@ class SparseSeries:
     def dense(self, degree: int) -> DenseSeries:
         """Dense series of the given degree holding the terms with exponent
         <= degree."""
+        import numpy as np
         out = np.zeros(degree + 1, dtype=np.complex128)
         for e, c in self.terms:
             if e > degree:
@@ -196,6 +206,7 @@ def log_series(p: DenseSeries, branch_base: complex = 0j) -> DenseSeries:
     Raises NearZeroConstantTerm when |b_0| < EPS0 (certified inputs always
     have Re b_0 > 0).
     """
+    import numpy as np
     b = p.coeffs
     b0 = complex(b[0])
     if abs(b0) < EPS0:
@@ -218,6 +229,7 @@ def exp_series(f: DenseSeries) -> DenseSeries:
 
     Uses the recurrence from p' = F'*p:  n*b_n = sum_{k=1}^{n} k*a_k*b_{n-k}.
     """
+    import numpy as np
     a = f.coeffs
     n_max = f.truncation_degree
     b = np.zeros(n_max + 1, dtype=np.complex128)

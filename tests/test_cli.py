@@ -294,6 +294,35 @@ class TestGaugeCommand:
         code, _, _ = run_cli(["h2", "--spec", json.dumps(spec)], capsys)
         assert code == 0
 
+    @pytest.mark.parametrize("gauge", ["powlog:1,1000", "powlog:1.5,2000", "powlog:0.5,1000"])
+    def test_gauge_underflowing_in_direct_range(self, gauge, capsys):
+        # gauge(exp(-1/n)) underflows to 0.0 at these n; the ratios come
+        # from the log form and match a 50-digit oracle, saturating to inf
+        # exactly where the true ratio leaves the double range
+        argv = ["gauge", "--phi", gauge, "--kmax", "3", "--format", "json"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        rows = json.loads(out)["rows"]
+        a, b = map(mpmath.mpf, gauge.partition(":")[2].split(","))
+        with mpmath.workdps(50):
+            for row in rows:
+                means = 2 * mpmath.pi * mpmath.fsum(
+                    other["n_k"] ** 2 * (mpmath.mpf(0.5) / other["k"] ** 2) ** 2
+                    * mpmath.exp(mpmath.mpf(-2 * other["n_k"]) / row["n_k"])
+                    for other in rows
+                )
+                gap = -mpmath.expm1(mpmath.mpf(-1) / row["n_k"])
+                ratio = means * gap ** a * (1 - mpmath.log(gap)) ** b
+                if ratio < mpmath.mpf(math.exp(709.0)):
+                    assert row["ratio"] == pytest.approx(float(ratio), rel=1e-12)
+                else:
+                    assert row["ratio"] == "inf"
+
+    def test_report_with_gauge_underflowing_in_direct_range(self, capsys):
+        code, out, err = run_cli(["report", "--gauge", "powlog:1,1000"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["parts"]["gauge_divergence"]["pass"] is True
+
     def test_size_cap_error(self, capsys):
         code, _, err = run_cli(["gauge", "--phi", "powlog:2,0.5", "--kmax", "6"], capsys)
         assert code == 2

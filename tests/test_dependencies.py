@@ -1,13 +1,19 @@
 """The package imports only the standard library and numpy; mpmath,
-hypothesis and pytest stay test-only."""
+hypothesis and pytest stay test-only.  numpy is imported inside the
+functions that build or read a dense array, so the sparse commands start
+without it."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "logmeans").glob("*.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "logmeans").glob("*.py"))
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
 
 
@@ -40,3 +46,68 @@ def test_means_works_on_coefficients_only():
     # the means take series, not constructions: no caratheodory import
     means = next(path for path in SOURCES if path.name == "means.py")
     assert set(package_imports(means)) <= {"errors", "numerics", "series"}
+
+
+def import_time_modules(nodes):
+    """Modules imported while a source file is itself imported: every import
+    outside function bodies and `if TYPE_CHECKING:` blocks."""
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            yield from import_time_modules(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+        yield from import_time_modules(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_module_level_numpy_import(path):
+    body = ast.parse(path.read_text(encoding="utf-8")).body
+    modules = [name.partition(".")[0] for name in import_time_modules(body)]
+    assert "numpy" not in modules
+
+
+# Runs main(argv) in a fresh interpreter (bare import for an empty argv) and
+# prints the exit code and whether numpy was loaded.
+CHILD = """
+import contextlib, io, sys
+import logmeans
+code = 0
+if sys.argv[1:]:
+    from logmeans.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(sys.argv[1:])
+print(code, "numpy" in sys.modules)
+"""
+
+LACUNARY = {
+    "type": "lacunary",
+    "terms": [{"exponent": 3, "im": 0.5}, {"exponent": 2 ** 80, "re": 0.25}],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        ([], False),
+        (["star", "--kmax", "30"], False),
+        (["gauge", "--phi", "pow:1.99", "--kmax", "6"], False),
+        (["h2", "--spec", '{"type":"theorem2_star","k_max":30}'], False),
+        (["h2", "--spec", json.dumps(LACUNARY)], False),
+        (["h2", "--spec", '{"type":"mobius"}'], True),  # control: dense work
+    ],
+    ids=["import", "star", "gauge", "h2-star", "h2-lacunary", "h2-mobius"],
+)
+def test_numpy_loaded_only_for_dense_work(argv, loads_numpy):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, *argv],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.split() == ["0", str(loads_numpy)]
