@@ -152,21 +152,48 @@ def corollary_report(
         raise ValueError("suite must be nonempty")
     grid = geometric_radii(0.5, 0.5, 20)
     report = Report(gauge=phi.label(), constant=constant)
-
-    profiles = [parseval_means(p.log_coeffs(TRUNC_DEGREE), grid) for p in suite]
-
-    # (i) uniform bound with the explicit constant
     worst = -math.inf
     witness_label = ""
     witness_radius = 0.0
-    for index, (p, profile) in enumerate(zip(suite, profiles)):
+    members = {}
+    all_pass = True
+    floor_rows = []
+    floor_pass = True
+    star = None
+    for index, p in enumerate(suite):
+        label = _member_label(index, p)
+        profile = parseval_means(p.log_coeffs(TRUNC_DEGREE), grid)
         normalized = little_o_check(profile)
+        # (i) uniform bound with the explicit constant
         for r, value, tail in zip(grid, normalized, profile.tail_bounds):
             excess = value - tail if math.isfinite(tail) else -math.inf
             if excess > worst:
                 worst = excess
-                witness_label = _member_label(index, p)
+                witness_label = label
                 witness_radius = r
+        # (ii) per-function little-o trend
+        horizon = validity_horizon(profile)
+        usable = normalized[:horizon] if horizon >= 3 else normalized
+        window = usable[-TREND_POINTS:]
+        ok = _decreasing_or_zero(window)
+        all_pass = all_pass and ok
+        members[label] = {
+            "pass": ok,
+            "final_value": window[-1] if window else 0.0,
+            "tail_valid_points": horizon,
+        }
+        # (iii) gauge divergence floors for schedule-built members
+        if p.schedule is not None:
+            for k, ratio in enumerate(ratio_at_schedule(p, phi), start=1):
+                floor = FLOOR_COEFF * float(k) ** 4
+                floor_pass = floor_pass and ratio >= floor * (1.0 - 1e-10)
+                floor_rows.append(
+                    {"member": label, "k": k, "ratio_to_floor": ratio / floor}
+                )
+        # (iv) is measured on the first dyadic extremal member
+        if star is None and p.spec_dict.get("type") == "theorem2_star":
+            star = (label, p)
+
     report.parts["uniform_bound"] = {
         "status": "ok",
         "pass": worst <= constant,
@@ -174,45 +201,11 @@ def corollary_report(
         "witness_function": witness_label,
         "witness_radius": witness_radius,
     }
-
-    # (ii) per-function little-o trend
-    members = {}
-    all_pass = True
-    for index, (p, profile) in enumerate(zip(suite, profiles)):
-        normalized = little_o_check(profile)
-        horizon = validity_horizon(profile)
-        usable = normalized[:horizon] if horizon >= 3 else normalized
-        window = usable[-TREND_POINTS:]
-        ok = _decreasing_or_zero(window)
-        all_pass = all_pass and ok
-        members[_member_label(index, p)] = {
-            "pass": ok,
-            "final_value": window[-1] if window else 0.0,
-            "tail_valid_points": horizon,
-        }
     report.parts["little_o"] = {
         "status": "ok",
         "pass": all_pass,
         "members": members,
     }
-
-    # (iii) gauge divergence floors for schedule-built members
-    floor_rows = []
-    floor_pass = True
-    for index, p in enumerate(suite):
-        if p.schedule is None:
-            continue
-        ratios = ratio_at_schedule(p, phi)
-        for k, ratio in enumerate(ratios, start=1):
-            floor = FLOOR_COEFF * float(k) ** 4
-            floor_pass = floor_pass and ratio >= floor * (1.0 - 1e-10)
-            floor_rows.append(
-                {
-                    "member": _member_label(index, p),
-                    "k": k,
-                    "ratio_to_floor": ratio / floor,
-                }
-            )
     if floor_rows:
         report.parts["gauge_divergence"] = {
             "status": "ok",
@@ -227,14 +220,6 @@ def corollary_report(
         }
 
     # (iv) least exponent via the dyadic extremal member
-    star = next(
-        (
-            (index, p)
-            for index, p in enumerate(suite)
-            if p.spec_dict.get("type") == "theorem2_star"
-        ),
-        None,
-    )
     k_max = min(star[1].spec_dict["k_max"], 53) if star else 0
     if k_max < 5:
         report.parts["least_exponent"] = {
@@ -242,7 +227,7 @@ def corollary_report(
             "pass": None,
         }
     else:
-        index, p = star
+        label, p = star
         hi = max(k_max - 5, 3)
         lo = max(hi - 10, 1)
         star_radii = critical_radii_star(k_max)[lo - 1 : hi]
@@ -252,7 +237,7 @@ def corollary_report(
         report.parts["least_exponent"] = {
             "status": "ok",
             "pass": ok,
-            "member": _member_label(index, p),
+            "member": label,
             "slope": fit.slope,
             "residual": fit.residual,
             "window_k": [lo, hi],

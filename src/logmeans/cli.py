@@ -52,8 +52,9 @@ MAX_ATOMS = 2 ** 10
 MAX_RADII = 2 ** 10
 
 # Largest gauge-schedule index (gauge --kmax, report --kmax-gauge, a
-# theorem3_gauge spec's k_max): ratio_at_schedule sums every term at every
-# n_k, so a sweep costs O(k^2) (gauge --kmax 1024 takes about 2 s).
+# theorem3_gauge spec's k_max): the ratio sweep costs O(k^2), about 2 s at
+# 1024 for pow:1.  It does not bound the schedule search, which steps once
+# per bit of n_k and dominates near the ceiling (pow:1.999: 1 min at 64).
 MAX_KMAX = 2 ** 10
 
 # Largest log-coefficient degree means materializes densely for its

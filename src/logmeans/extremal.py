@@ -36,7 +36,7 @@ from .errors import (
     RadiusOutOfRange,
 )
 from .means import TWO_PI, parseval_log_value_at_inv_n
-from .numerics import DIRECT_N_LIMIT, gap_from_inv_n, neglog_gap_from_inv_n
+from .numerics import DIRECT_N_LIMIT, LOG_MAX, gap_from_inv_n, neglog_gap_from_inv_n
 from .series import SparseSeries
 
 # Means floor coefficient along the adapted radii: pi * e^-2 / 2.
@@ -232,9 +232,9 @@ def ratio_at_schedule(p: CaratheodoryFunction, phi: Gauge) -> List[float]:
     """means/gauge at the exact adapted radii exp(-1/n_k) of the schedule p
     was built on.
 
-    Both sides are evaluated in log space from the exact integers, so the
-    ratios stay finite and meaningful even when means and gauge separately
-    overflow every float."""
+    Both sides are evaluated in log space from the exact integers, so a
+    ratio is meaningful even when means and gauge separately overflow every
+    float; a ratio whose log reaches LOG_MAX saturates to +inf."""
     if p.schedule is None:
         raise ValueError("schedule ratios need a schedule-built function")
     f = p.log_coeffs(max(p.schedule.n_k, default=0))
@@ -243,7 +243,7 @@ def ratio_at_schedule(p: CaratheodoryFunction, phi: Gauge) -> List[float]:
         ln_means = parseval_log_value_at_inv_n(f, n)
         ln_gauge = _log_gauge_at_inv_n(phi, n)
         d = ln_means - ln_gauge
-        out.append(math.exp(d) if d < 709.0 else math.inf)
+        out.append(math.exp(d) if d < LOG_MAX else math.inf)
     return out
 
 

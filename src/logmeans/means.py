@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .errors import RadiusOutOfRange
-from .numerics import float_ratio, logsumexp
+from .numerics import float_product, float_ratio, logsumexp
 from .series import TWO_PI, AnySeries, DenseSeries, SparseSeries
 
 LOG_TWO_PI = math.log(TWO_PI)
@@ -94,11 +94,7 @@ def tail_bound(trunc_degree: int, neglog_r: float) -> float:
     if neglog_r <= 0.0:
         raise RadiusOutOfRange("radius must be < 1")
     np1 = trunc_degree + 1
-    if np1.bit_length() <= 1000:
-        x = float(np1) * neglog_r
-    else:
-        lx = math.log(np1) + math.log(neglog_r)
-        x = math.exp(lx) if lx < 700.0 else math.inf
+    x = float_product(neglog_r, np1)
     if not x > 1.0:
         return math.inf
     ln_tail = 3.0 * math.log(math.pi) + 2.0 * math.log(np1) - 2.0 * x

@@ -18,8 +18,7 @@ from typing import Iterable
 # representable as doubles.  Beyond it, computations move to log space.
 DIRECT_N_LIMIT = 10 ** 150
 
-_LOG_MAX = 709.0  # exp overflows past this
-_EXP_UNDERFLOW = 746.0  # exp(-x) == 0.0 for x beyond this
+LOG_MAX = 709.0  # exp overflows past this
 
 
 def logsumexp(values: Iterable[float]) -> float:
@@ -43,22 +42,13 @@ def float_ratio(num: int, den: int) -> float:
         return math.inf
 
 
-def exp_neg_scaled(s: float, e: int) -> float:
-    """exp(-s*e) for s > 0 and an integer e >= 0 of any size."""
-    if e == 0:
-        return 1.0
-    if s <= 0.0:
-        raise ValueError("scale must be positive")
+def float_product(s: float, e: int) -> float:
+    """s*e for a float s > 0 and an integer e >= 1 of any size; past 1000
+    bits it is exp(log s + log e), saturating to +inf from exp(LOG_MAX) on."""
     if e.bit_length() <= 1000:
-        x = s * float(e)
-    else:
-        lx = math.log(s) + math.log(e)
-        if lx > _LOG_MAX:
-            return 0.0
-        x = math.exp(lx)
-    if x > _EXP_UNDERFLOW:
-        return 0.0
-    return math.exp(-x)
+        return s * float(e)
+    lx = math.log(s) + math.log(e)
+    return math.exp(lx) if lx <= LOG_MAX else math.inf
 
 
 def neglog_gap_from_inv_n(n: int) -> float:

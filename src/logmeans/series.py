@@ -26,7 +26,7 @@ import math
 from typing import TYPE_CHECKING, Sequence, Tuple, Union
 
 from .errors import NearZeroConstantTerm, RadiusOutOfRange
-from .numerics import exp_neg_scaled
+from .numerics import float_product
 
 if TYPE_CHECKING:
     import numpy as np
@@ -150,7 +150,7 @@ class SparseSeries:
         terms = []
         for e, c in self.terms:
             ac2 = c.real * c.real + c.imag * c.imag
-            power = exp_neg_scaled(neglog_r, 2 * e)
+            power = math.exp(-float_product(neglog_r, 2 * e))
             if power == 0.0 or ac2 == 0.0:
                 continue
             if e.bit_length() <= 500:
