@@ -18,8 +18,10 @@ Two computations are provided:
 Tail bounds combine the class-wide coefficient bound sum |a_n|^2 <= pi^2/2
 with monotonicity of n^2 r^(2n) past n = 1/log(1/r), giving
 pi^3 * (N+1)^2 * r^(2(N+1)) where that monotonicity holds and +inf where it
-does not.  The coefficient route accumulates with exact (fsum) summation;
-the quadrature sums its positive squares with numpy's pairwise sum.
+does not.  The coefficient route rounds the sum of its terms correctly
+(numerics.exact_sum for dense series, math.fsum for sparse terms); the
+quadrature squares its samples in place and sums them with numpy's pairwise
+sum.
 
 Only quadrature_means imports numpy, for its FFT; the coefficient route and
 the log-domain value at exp(-1/n) run on whatever series they are given,
@@ -164,7 +166,10 @@ def quadrature_means(
     values = []
     for r in radii:
         # z*F' at the m-th roots of unity scaled by r: one zero-padded FFT
-        samples = np.fft.ifft(g * np.power(r, n), n=m) * m
-        power = np.sum(samples.real ** 2 + samples.imag ** 2)
-        values.append((TWO_PI / m) * float(power))
+        samples = np.fft.ifft(g * np.power(r, n), n=m)
+        samples *= m
+        # |samples|^2 in place over the real and imaginary parts, summed pairwise
+        parts = samples.view(np.float64)
+        np.square(parts, out=parts)
+        values.append((TWO_PI / m) * float(parts.sum()))
     return tuple(values)

@@ -5,8 +5,9 @@ degree.  SparseSeries holds (exponent, coefficient) pairs with strictly
 increasing integer exponents; exponents may be arbitrarily large Python
 integers, which is what makes the lacunary constructions representable.
 Both types sum their own Parseval means 2*pi * sum n^2 |a_n|^2 r^(2n) and
-H^2 partial sum sum |a_n|^2 over the nonconstant coefficients, with exact
-(fsum) summation, and both give their dense form to any degree (dense).
+H^2 partial sum sum |a_n|^2 over the nonconstant coefficients, correctly
+rounded (numerics.exact_sum for dense arrays, math.fsum for sparse terms),
+and both give their dense form to any degree (dense).
 
 The log/exp conversions use the classical O(N^2) convolution recurrences
 derived from p*F' = p' and p' = F'*p.  No construction takes its
@@ -26,7 +27,7 @@ import math
 from typing import TYPE_CHECKING, Sequence, Tuple, Union
 
 from .errors import NearZeroConstantTerm, RadiusOutOfRange
-from .numerics import float_product
+from .numerics import exact_sum, float_product
 
 if TYPE_CHECKING:
     import numpy as np
@@ -73,11 +74,11 @@ class DenseSeries:
         import numpy as np
         n = np.arange(1, self.coeffs.size, dtype=np.float64)
         w = (n * n) * self._squared_moduli()
-        return TWO_PI * math.fsum((w * np.exp(-2.0 * neglog_r * n)).tolist())
+        return TWO_PI * exact_sum(w * np.exp(-2.0 * neglog_r * n))
 
     def h2_sum(self) -> float:
         """sum_{n=1..N} |c_n|^2."""
-        return math.fsum(self._squared_moduli().tolist())
+        return exact_sum(self._squared_moduli())
 
     def dense(self, degree: int) -> "DenseSeries":
         """This series truncated or zero-padded to the given degree; the
@@ -150,13 +151,16 @@ class SparseSeries:
         terms = []
         for e, c in self.terms:
             ac2 = c.real * c.real + c.imag * c.imag
-            power = math.exp(-float_product(neglog_r, 2 * e))
-            if power == 0.0 or ac2 == 0.0:
+            if ac2 == 0.0:
                 continue
-            if e.bit_length() <= 500:
+            x = float_product(neglog_r, 2 * e)
+            power = math.exp(-x)
+            if power > 0.0 and e.bit_length() <= 500:
                 terms.append(float(e) ** 2 * ac2 * power)
             else:
-                ln_term = 2.0 * math.log(e) + math.log(ac2) + math.log(power)
+                # r^(2e) may underflow where e^2 |c|^2 r^(2e) does not
+                ln_power = math.log(power) if power > 0.0 else -x
+                ln_term = 2.0 * math.log(e) + math.log(ac2) + ln_power
                 terms.append(math.exp(ln_term) if ln_term <= 700.0 else math.inf)
         return TWO_PI * math.fsum(terms)
 
