@@ -155,12 +155,12 @@ class SparseSeries:
                 continue
             x = float_product(neglog_r, 2 * e)
             power = math.exp(-x)
-            if power > 0.0 and e.bit_length() <= 500:
+            if power >= 2.0 ** -1022 and e.bit_length() <= 500:
                 terms.append(float(e) ** 2 * ac2 * power)
             else:
-                # r^(2e) may underflow where e^2 |c|^2 r^(2e) does not
-                ln_power = math.log(power) if power > 0.0 else -x
-                ln_term = 2.0 * math.log(e) + math.log(ac2) + ln_power
+                # r^(2e) may be subnormal or 0.0 where e^2 |c|^2 r^(2e) is
+                # a normal double
+                ln_term = 2.0 * math.log(e) + math.log(ac2) - x
                 terms.append(math.exp(ln_term) if ln_term <= 700.0 else math.inf)
         return TWO_PI * math.fsum(terms)
 

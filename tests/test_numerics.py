@@ -120,6 +120,18 @@ def test_sparse_parseval_straddling_the_switch(s):
     assert close(SparseSeries(STRADDLE).parseval_value(s), want, rel)
 
 
+# 2es is about 740 in both cases: r^(2e) is subnormal, with a few bits
+# left, while the terms are near e^642 (exponents past 500 bits) and e^-652
+# (a 62-bit exponent at r = 1 - 2^-53)
+@pytest.mark.parametrize("terms, s", [
+    (STRADDLE, 6.9e-299),
+    ([(3332663724254167040, 1.0)], -math.log1p(-2.0 ** -53)),
+])
+def test_sparse_parseval_where_the_power_is_subnormal(terms, s):
+    want, rel = parseval_oracle(terms, s)
+    assert close(SparseSeries(terms).parseval_value(s), want, rel)
+
+
 def test_sparse_parseval_after_the_power_underflows():
     # 2es is about 1071 here: r^(2e) underflows, the terms are near e^314
     want, rel = parseval_oracle(STRADDLE, 1e-298)
