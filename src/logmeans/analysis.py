@@ -17,8 +17,8 @@ JSON-serializable report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .caratheodory import CaratheodoryFunction
 from .errors import DegenerateProfile
@@ -43,13 +43,10 @@ TRUNC_DEGREE = 2048
 TREND_POINTS = 5
 
 
-@dataclass(frozen=True)
-class GrowthFit:
+class GrowthFit(namedtuple("GrowthFit", "slope intercept residual")):
     """Fitted growth exponent over a means profile."""
 
-    slope: float
-    intercept: float
-    residual: float
+    __slots__ = ()
 
 
 def fit_exponent(profile: MeansProfile) -> GrowthFit:
@@ -78,7 +75,7 @@ def fit_exponent(profile: MeansProfile) -> GrowthFit:
     return GrowthFit(slope, intercept, residual)
 
 
-def little_o_check(profile: MeansProfile) -> List[float]:
+def little_o_check(profile: MeansProfile) -> list[float]:
     """The normalized sequence (1 - r_j)^2 * means_j."""
     return [
         (1.0 - r) ** 2 * v for r, v in zip(profile.radii, profile.values)
@@ -99,13 +96,11 @@ def validity_horizon(profile: MeansProfile) -> int:
     return count
 
 
-@dataclass
 class Report:
     """Four-part optimality report; serialization is byte-deterministic."""
 
-    gauge: str
-    constant: float
-    parts: Dict[str, dict] = field(default_factory=dict)
+    def __init__(self, gauge: str, constant: float):
+        self.gauge, self.constant, self.parts = gauge, constant, {}
 
     def to_json_dict(self) -> dict:
         return {

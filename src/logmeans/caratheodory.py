@@ -21,19 +21,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .errors import ImaginaryBoundViolated, InvalidMeasure
 from .series import (
-    AnySeries,
     DenseSeries,
     SparseSeries,
     log_series,  # unused here; perfbench/tracing.py patches this name
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Safety margin below pi/2 for the coefficient-magnitude sum.
 MARGIN = 1e-9
@@ -43,18 +39,16 @@ MARGIN = 1e-9
 BLOCK = 256
 
 
-@dataclass(frozen=True)
-class HerglotzSpec:
+class HerglotzSpec(namedtuple("HerglotzSpec", "atoms im_p0")):
     """Atomic positive measure on the circle plus an imaginary constant.
 
     atoms: (angle in [0, 2*pi), weight > 0) pairs, at least one.
     im_p0: imaginary part of the value at the origin.
     """
 
-    atoms: Tuple[Tuple[float, float], ...]
-    im_p0: float = 0.0
+    __slots__ = ()
 
-    def __init__(self, atoms: Sequence[Tuple[float, float]], im_p0: float = 0.0):
+    def __new__(cls, atoms: Sequence[tuple[float, float]], im_p0: float = 0.0):
         if len(atoms) == 0:
             raise InvalidMeasure("at least one atom required")
         im_p0 = float(im_p0)
@@ -72,28 +66,26 @@ class HerglotzSpec:
             math.fsum(w for _, w in norm)
         except OverflowError:
             raise InvalidMeasure("total mass overflows a double") from None
-        object.__setattr__(self, "atoms", tuple(norm))
-        object.__setattr__(self, "im_p0", im_p0)
+        return super().__new__(cls, tuple(norm), im_p0)
 
     @property
     def total_mass(self) -> float:
         return math.fsum(w for _, w in self.atoms)
 
 
-@dataclass(frozen=True)
-class ByConstruction:
+class ByConstruction(namedtuple("ByConstruction", "")):
     """Positivity holds because every kernel term has positive real part."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class ByImaginaryBound:
+
+class ByImaginaryBound(namedtuple("ByImaginaryBound", "bound")):
     """Positivity holds because |Im log p| <= bound < pi/2."""
 
-    bound: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Herglotz:
+class Herglotz(namedtuple("Herglotz", "spec")):
     """Kernel sum; log-coefficients in closed form.
 
     p = i*c + sum_j w_j*(zeta_j+z)/(zeta_j-z) is rational with the poles
@@ -105,9 +97,9 @@ class Herglotz:
     cost O(J^2) per bisection step.
     """
 
-    spec: HerglotzSpec
+    __slots__ = ()
 
-    def _merged_atoms(self) -> Tuple[np.ndarray, np.ndarray]:
+    def _merged_atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct atom angles, sorted, and the summed weight at each."""
         import numpy as np
         thetas, weights = np.array(self.spec.atoms).T
@@ -173,11 +165,10 @@ def _power_sums(angles: np.ndarray, weights: np.ndarray, degree: int) -> np.ndar
     return out.ravel()[: degree + 1]
 
 
-@dataclass(frozen=True)
-class LacunaryExp:
+class LacunaryExp(namedtuple("LacunaryExp", "series")):
     """exp(F) for a sparse F; the log-coefficients are F itself."""
 
-    series: SparseSeries
+    __slots__ = ()
 
     def log_coeffs(self, degree: int) -> SparseSeries:
         return self.series
@@ -190,14 +181,14 @@ class CaratheodoryFunction:
     Log-coefficients come from the construction, cached per degree.
     """
 
-    def __init__(self, construction, certificate, spec_dict: Dict, schedule=None):
+    def __init__(self, construction, certificate, spec_dict: dict, schedule=None):
         self.construction = construction
         self.certificate = certificate
         self.spec_dict = spec_dict
         self.schedule = schedule
-        self._log_cache: Dict[int, AnySeries] = {}
+        self._log_cache: dict[int, DenseSeries | SparseSeries] = {}
 
-    def log_coeffs(self, degree: int) -> AnySeries:
+    def log_coeffs(self, degree: int) -> DenseSeries | SparseSeries:
         """Taylor coefficients of log(p) in the construction's exact form:
         all of them for a sparse series, up to the degree for a dense one."""
         got = self._log_cache.get(degree)
@@ -238,7 +229,7 @@ def from_herglotz(spec: HerglotzSpec) -> CaratheodoryFunction:
 
 
 def from_lacunary(
-    f: SparseSeries, spec_dict: Optional[Dict] = None, schedule=None
+    f: SparseSeries, spec_dict: dict | None = None, schedule=None
 ) -> CaratheodoryFunction:
     """p = exp(F) for a sparse F with sum of |coefficients| < pi/2 - MARGIN.
 

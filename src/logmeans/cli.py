@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from typing import List, Optional, Sequence
+from collections.abc import Sequence
 
 from .analysis import UNIFORM_CONSTANT, corollary_report
 from .caratheodory import CaratheodoryFunction, HerglotzSpec, from_herglotz, mobius
@@ -75,7 +75,7 @@ def _capped(value: int, maximum: int, flag: str) -> int:
     return _at_least(value, 1, flag)
 
 
-def _parse_radii_spec(text: str) -> List[float]:
+def _parse_radii_spec(text: str) -> list[float]:
     """geometric:<start>,<factor>,<count> or critical-star:<k_max>."""
     kind, _, body = text.partition(":")
     try:
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         text = args.run(args)

@@ -25,8 +25,7 @@ never with rounded radii.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from collections import namedtuple
 
 from .caratheodory import CaratheodoryFunction, from_lacunary
 from .errors import (
@@ -50,18 +49,17 @@ MAX_STAR_INDEX = 62  # exponent 2^k must fit a 64-bit signed width
 MAX_SCHEDULE_BITS = 2 ** 17
 
 
-@dataclass(frozen=True)
-class Gauge:
+class Gauge(namedtuple("Gauge", "a b")):
     """Comparison function (1-r)^(-a) * log(e/(1-r))^(-b) on (0, 1)."""
 
-    a: float
-    b: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+    def __new__(cls, a: float, b: float = 0.0):
+        if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError("gauge parameters must be finite")
-        if self.a < 0.0 or self.b < 0.0:
+        if a < 0.0 or b < 0.0:
             raise ValueError("gauge parameters must be >= 0")
+        return super().__new__(cls, a, b)
 
     @property
     def satisfies_hypothesis(self) -> bool:
@@ -99,18 +97,18 @@ class Gauge:
             raise ParseError(f"invalid gauge {text!r}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class ExponentSchedule:
+class ExponentSchedule(namedtuple("ExponentSchedule", "n_k")):
     """Strictly increasing exponents for the gauge-adapted construction."""
 
-    n_k: Tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, n_k: tuple[int, ...]):
         prev = 0
-        for n in self.n_k:
+        for n in n_k:
             if n <= prev:
                 raise ValueError("schedule must be strictly increasing")
             prev = n
+        return super().__new__(cls, n_k)
 
     def __len__(self) -> int:
         return len(self.n_k)
@@ -168,7 +166,7 @@ def choose_schedule(phi: Gauge, k_max: int) -> ExponentSchedule:
             f"gauge {phi.label()} needs exponents past 2^{MAX_SCHEDULE_BITS} "
             f"at k={k_max}"
         )
-    found: List[int] = []
+    found: list[int] = []
     prev = 0
     for k in range(1, k_max + 1):
         lo = prev + 1
@@ -202,7 +200,7 @@ def build_p_star(k_max: int) -> CaratheodoryFunction:
     return from_lacunary(SparseSeries(terms), {"type": "theorem2_star", "k_max": k_max})
 
 
-def critical_radii_star(k_max: int) -> List[float]:
+def critical_radii_star(k_max: int) -> list[float]:
     """Adapted radii exp(-2^-k), k = 1..k_max, as floats.
 
     Past k = 53 the float collapses onto 1.0; sweeps that need larger k work
@@ -218,7 +216,7 @@ def critical_radii_star(k_max: int) -> List[float]:
 
 
 def build_p_phi(
-    schedule: ExponentSchedule, spec_dict: Optional[Dict] = None
+    schedule: ExponentSchedule, spec_dict: dict | None = None
 ) -> CaratheodoryFunction:
     """exp((i/2) * sum z^(n_k)/k^2) for a chosen exponent schedule, which
     the function carries; the spec defaults to the lacunary one."""
@@ -228,7 +226,7 @@ def build_p_phi(
     return from_lacunary(SparseSeries(terms), spec_dict, schedule)
 
 
-def ratio_at_schedule(p: CaratheodoryFunction, phi: Gauge) -> List[float]:
+def ratio_at_schedule(p: CaratheodoryFunction, phi: Gauge) -> list[float]:
     """means/gauge at the exact adapted radii exp(-1/n_k) of the schedule p
     was built on.
 
@@ -247,7 +245,7 @@ def ratio_at_schedule(p: CaratheodoryFunction, phi: Gauge) -> List[float]:
     return out
 
 
-def star_sweep(k_max: int) -> List[dict]:
+def star_sweep(k_max: int) -> list[dict]:
     """Means of the dyadic extremal function at its adapted radii.
 
     Radii are handled through their exact negated logs 2^-k; the reported
@@ -271,7 +269,7 @@ def star_sweep(k_max: int) -> List[dict]:
     return rows
 
 
-def gauge_sweep(phi: Gauge, k_max: int) -> Tuple[ExponentSchedule, List[dict]]:
+def gauge_sweep(phi: Gauge, k_max: int) -> tuple[ExponentSchedule, list[dict]]:
     """Schedule plus per-index ratios means/gauge against the k^4 floor."""
     schedule = choose_schedule(phi, k_max)
     p = build_p_phi(schedule)

@@ -8,8 +8,6 @@ import json
 import math
 import os
 import sys
-import tempfile
-from typing import Any
 
 
 def int_str(n: int) -> str:
@@ -35,7 +33,7 @@ def format_float(x: float) -> str:
     return f"{x:.16e}"
 
 
-def _emit(obj: Any, out: list, indent: int) -> None:
+def _emit(obj: object, out: list, indent: int) -> None:
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -71,7 +69,7 @@ def _emit(obj: Any, out: list, indent: int) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps_canonical(obj: Any) -> str:
+def dumps_canonical(obj: object) -> str:
     """Render with insertion-ordered keys and format_float for every float."""
     out: list = []
     _emit(obj, out, 0)
@@ -81,6 +79,7 @@ def dumps_canonical(obj: Any) -> str:
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write via a temp file in the same directory, then rename into place."""
+    import tempfile  # only file output pays for it
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:

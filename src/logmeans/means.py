@@ -31,33 +31,30 @@ so sparse means need no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .errors import RadiusOutOfRange
 from .numerics import float_product, float_ratio, logsumexp
-from .series import TWO_PI, AnySeries, DenseSeries, SparseSeries
+from .series import TWO_PI, DenseSeries, SparseSeries
 
 LOG_TWO_PI = math.log(TWO_PI)
 
 
-@dataclass(frozen=True)
-class MeansProfile:
+class MeansProfile(namedtuple("MeansProfile", "radii values tail_bounds")):
     """Means values on a strictly increasing radius grid in (0, 1)."""
 
-    radii: Tuple[float, ...]
-    values: Tuple[float, ...]
-    tail_bounds: Tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        r = self.radii
-        if len(r) != len(self.values) or len(r) != len(self.tail_bounds):
+    def __new__(cls, radii: tuple, values: tuple, tail_bounds: tuple):
+        if len(radii) != len(values) or len(radii) != len(tail_bounds):
             raise ValueError("radii, values, tail_bounds must share a length")
-        _check_radii(r)
-        if any(v < 0 or math.isnan(v) for v in self.values):
+        _check_radii(radii)
+        if any(v < 0 or math.isnan(v) for v in values):
             raise ValueError("values must be nonnegative")
-        if any(t < 0 or math.isnan(t) for t in self.tail_bounds):
+        if any(t < 0 or math.isnan(t) for t in tail_bounds):
             raise ValueError("tail bounds must be nonnegative")
+        return super().__new__(cls, radii, values, tail_bounds)
 
 
 def _check_radii(radii: Sequence[float]) -> None:
@@ -70,7 +67,7 @@ def _check_radii(radii: Sequence[float]) -> None:
         prev = r
 
 
-def geometric_radii(start: float, factor: float, count: int) -> List[float]:
+def geometric_radii(start: float, factor: float, count: int) -> list[float]:
     """Grid r_j = 1 - (1-start)*factor^j for j = 0..count-1, approaching 1;
     RadiusOutOfRange once rounding collapses it onto 1.0 or stalls it."""
     if not (0.0 < start < 1.0):
@@ -127,7 +124,9 @@ def parseval_log_value_at_inv_n(a: SparseSeries, n: int) -> float:
     return LOG_TWO_PI + logsumexp(logs)
 
 
-def parseval_means(a: AnySeries, radii: Sequence[float]) -> MeansProfile:
+def parseval_means(
+    a: DenseSeries | SparseSeries, radii: Sequence[float]
+) -> MeansProfile:
     """Coefficient-route means profile over a strictly increasing grid.
 
     Input is the coefficient sequence of log p (dense or sparse); the n = 0
@@ -145,7 +144,7 @@ def parseval_means(a: AnySeries, radii: Sequence[float]) -> MeansProfile:
 
 def quadrature_means(
     f: DenseSeries, radii: Sequence[float], quadrature_points: int
-) -> Tuple[float, ...]:
+) -> tuple[float, ...]:
     """Definition-route means at each radius via the M-point uniform
     trapezoid rule.
 

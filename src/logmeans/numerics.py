@@ -13,10 +13,7 @@ Two radius encodings are used throughout the package:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable
-
-if TYPE_CHECKING:
-    import numpy as np
+from collections.abc import Iterable
 
 # Largest n for which exp(-1/n), 1 - exp(-1/n) and n**2 are all safely
 # representable as doubles.  Beyond it, computations move to log space.

@@ -24,13 +24,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import TYPE_CHECKING, Sequence, Tuple, Union
+from collections.abc import Sequence
 
 from .errors import NearZeroConstantTerm, RadiusOutOfRange
 from .numerics import exact_sum, float_product
-
-if TYPE_CHECKING:
-    import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -43,7 +40,7 @@ class DenseSeries:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Union[Sequence[complex], np.ndarray]):
+    def __init__(self, coeffs: Sequence[complex] | np.ndarray):
         import numpy as np
         arr = np.asarray(coeffs, dtype=np.complex128).copy()
         if arr.ndim != 1 or arr.size == 0:
@@ -111,7 +108,7 @@ class SparseSeries:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Sequence[Tuple[int, complex]]):
+    def __init__(self, terms: Sequence[tuple[int, complex]]):
         cleaned = []
         last = 0
         for exponent, coefficient in terms:
@@ -151,16 +148,15 @@ class SparseSeries:
         terms = []
         for e, c in self.terms:
             ac2 = c.real * c.real + c.imag * c.imag
-            if ac2 == 0.0:
-                continue
             x = float_product(neglog_r, 2 * e)
             power = math.exp(-x)
-            if power >= 2.0 ** -1022 and e.bit_length() <= 500:
+            if min(power, ac2) >= 2.0 ** -1022 and e.bit_length() <= 500:
                 terms.append(float(e) ** 2 * ac2 * power)
             else:
-                # r^(2e) may be subnormal or 0.0 where e^2 |c|^2 r^(2e) is
-                # a normal double
-                ln_term = 2.0 * math.log(e) + math.log(ac2) - x
+                # r^(2e) or |c|^2 may be subnormal or 0.0 where
+                # e^2 |c|^2 r^(2e) is a normal double
+                ln_c2 = math.log(ac2) if ac2 >= 2.0 ** -1022 else 2.0 * math.log(abs(c))
+                ln_term = 2.0 * math.log(e) + ln_c2 - x
                 terms.append(math.exp(ln_term) if ln_term <= 700.0 else math.inf)
         return TWO_PI * math.fsum(terms)
 
@@ -187,9 +183,6 @@ class SparseSeries:
 
     def __repr__(self) -> str:
         return f"SparseSeries({len(self.terms)} terms, degree={self.truncation_degree})"
-
-
-AnySeries = Union[DenseSeries, SparseSeries]
 
 
 def _branch_log(b0: complex, branch_base: complex) -> complex:

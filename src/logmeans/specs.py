@@ -16,7 +16,6 @@ so emitted specs re-parse to an equivalent function.  Integer fields
 from __future__ import annotations
 
 import json
-from typing import Union
 
 from .caratheodory import (
     CaratheodoryFunction,
@@ -50,7 +49,7 @@ def decode_spec(text: str):
         raise ParseError(f"function spec is not valid JSON: {exc}") from None
 
 
-def parse_function_spec(spec: Union[str, dict]) -> CaratheodoryFunction:
+def parse_function_spec(spec: str | dict) -> CaratheodoryFunction:
     """Build a certified function from a JSON object or JSON text."""
     if isinstance(spec, str):
         spec = decode_spec(spec)

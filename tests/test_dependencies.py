@@ -5,12 +5,17 @@ without it."""
 
 import ast
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from logmeans import ExponentSchedule, Gauge, GrowthFit, HerglotzSpec, MeansProfile, SparseSeries
+from logmeans.caratheodory import ByConstruction, ByImaginaryBound, Herglotz, LacunaryExp
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SOURCES = sorted((SRC / "logmeans").glob("*.py"))
@@ -50,12 +55,9 @@ def test_means_works_on_coefficients_only():
 
 def import_time_modules(nodes):
     """Modules imported while a source file is itself imported: every import
-    outside function bodies and `if TYPE_CHECKING:` blocks."""
+    outside function bodies."""
     for node in nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
-            yield from import_time_modules(node.orelse)
             continue
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
@@ -111,3 +113,64 @@ def test_numpy_loaded_only_for_dense_work(argv, loads_numpy):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout.split() == ["0", str(loads_numpy)]
+
+
+# Standard modules a start-up must not load: neither the value types nor
+# the annotations need dataclasses (which imports inspect) or typing, and
+# only file output needs tempfile.
+START_UP_FREE = ["dataclasses", "inspect", "tempfile", "typing"]
+
+# Under -S no site-packages .pth pre-imports any of them.
+BARE_CHILD = """
+import contextlib, io, sys
+import logmeans.cli
+loaded = [sorted(m for m in sys.argv[1:] if m in sys.modules)]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = logmeans.cli.main(["star", "--kmax", "3"])
+loaded.append(sorted(m for m in sys.argv[1:] if m in sys.modules))
+print(code, loaded)
+"""
+
+
+def test_start_up_loads_no_dataclasses_typing_or_tempfile():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", BARE_CHILD, *START_UP_FREE],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split(maxsplit=1) == ["0", "[[], []]\n"]
+
+
+SPEC = HerglotzSpec([(7.0, 0.5), (1.0, 2)], im_p0=-1)
+SPEC_REPR = "HerglotzSpec(atoms=((0.7168146928204138, 0.5), (1.0, 2.0)), im_p0=-1.0)"
+SERIES = SparseSeries([(3, 0.5j)])
+
+# (value, its repr, its field values): each frozen value type's repr text,
+# and its hash and equality, which are those of its field values.
+VALUES = [
+    (GrowthFit(1.5, -0.25, 1e-3), "GrowthFit(slope=1.5, intercept=-0.25, residual=0.001)",
+     (1.5, -0.25, 1e-3)),
+    (SPEC, SPEC_REPR, (((7.0 - 2 * math.pi, 0.5), (1.0, 2.0)), -1.0)),
+    (ByConstruction(), "ByConstruction()", ()),
+    (ByImaginaryBound(0.75), "ByImaginaryBound(bound=0.75)", (0.75,)),
+    (Herglotz(SPEC), f"Herglotz(spec={SPEC_REPR})", (SPEC,)),
+    (LacunaryExp(SERIES), "LacunaryExp(series=SparseSeries(1 terms, degree=3))", (SERIES,)),
+    (Gauge(1.9), "Gauge(a=1.9, b=0.0)", (1.9, 0.0)),
+    (ExponentSchedule((2, 5, 17)), "ExponentSchedule(n_k=(2, 5, 17))", ((2, 5, 17),)),
+    (MeansProfile((0.5, 0.75), (1.0, 2.5), (0.0, math.inf)),
+     "MeansProfile(radii=(0.5, 0.75), values=(1.0, 2.5), tail_bounds=(0.0, inf))",
+     ((0.5, 0.75), (1.0, 2.5), (0.0, math.inf))),
+]
+
+
+@pytest.mark.parametrize(
+    "value, text, fields", VALUES, ids=[type(v).__name__ for v, *_ in VALUES]
+)
+def test_value_type_repr_hash_and_immutability(value, text, fields):
+    assert repr(value) == text
+    assert hash(value) == hash(fields)
+    assert value == type(value)(*fields) and hash(type(value)(*fields)) == hash(value)
+    for name in re.findall(r"(\w+)=", text) + ["other"]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)

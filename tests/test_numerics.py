@@ -102,11 +102,13 @@ def parseval_oracle(terms, s):
         for e, c in terms
     )
     # exp(-x) scales the relative error of x = 2es by x; forming each term
-    # in log space adds a few ulp of 2 log e + x
+    # in log space adds a few ulp of 2 log e + x, and of 2 log|c| where
+    # |c|^2 is below the normal range and the term takes that log instead
     rel = 0.0
-    for e, _ in terms:
+    for e, c in terms:
         x = float(2 * e * mpmath.mpf(s))
-        rel = max(rel, x * PRODUCT_REL + 8 * EPS * (2 * math.log(e) + x + 4))
+        log_c2 = 2 * abs(math.log(abs(c))) if abs(c) ** 2 < 2.0 ** -1022 else 0.0
+        rel = max(rel, x * PRODUCT_REL + 8 * EPS * (2 * math.log(e) + x + 4 + log_c2))
     return float(want), rel
 
 
@@ -120,12 +122,17 @@ def test_sparse_parseval_straddling_the_switch(s):
     assert close(SparseSeries(STRADDLE).parseval_value(s), want, rel)
 
 
-# 2es is about 740 in both cases: r^(2e) is subnormal, with a few bits
-# left, while the terms are near e^642 (exponents past 500 bits) and e^-652
-# (a 62-bit exponent at r = 1 - 2^-53)
+# 2es is about 740 in the first two cases: r^(2e) is subnormal, with a few
+# bits left, while the terms are near e^642 (exponents past 500 bits) and
+# e^-652 (a 62-bit exponent at r = 1 - 2^-53).  In the last two r^(2e) is
+# normal but |c|^2 is 0.0 (1e-163 squared) or subnormal (1e-158 squared)
+# while the term is a normal double: e = 2^53 at r = 1 - 2^-53, the last
+# radius of `means --radii critical-star:53`, and e = 2^16 at r = 0.99999.
 @pytest.mark.parametrize("terms, s", [
     (STRADDLE, 6.9e-299),
     ([(3332663724254167040, 1.0)], -math.log1p(-2.0 ** -53)),
+    ([(2 ** 53, 1e-163)], -math.log1p(-2.0 ** -53)),
+    ([(2 ** 16, 1e-158)], -math.log(0.99999)),
 ])
 def test_sparse_parseval_where_the_power_is_subnormal(terms, s):
     want, rel = parseval_oracle(terms, s)
