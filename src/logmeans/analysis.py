@@ -102,17 +102,16 @@ class Report:
     def __init__(self, gauge: str, constant: float):
         self.gauge, self.constant, self.parts = gauge, constant, {}
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "v1",
-            "kind": "optimality_report",
-            "gauge": self.gauge,
-            "constant": self.constant,
-            "parts": self.parts,
-        }
-
     def to_json(self) -> str:
-        return dumps_canonical(self.to_json_dict())
+        return dumps_canonical(
+            {
+                "schema": "v1",
+                "kind": "optimality_report",
+                "gauge": self.gauge,
+                "constant": self.constant,
+                "parts": self.parts,
+            }
+        )
 
 
 def _member_label(index: int, p: CaratheodoryFunction) -> str:

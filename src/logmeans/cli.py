@@ -118,28 +118,17 @@ def _load_spec(text: str) -> CaratheodoryFunction:
     return p
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, int):
-        return int_str(value)
-    return str(value)
+def _cell(value: int | float) -> str:
+    return int_str(value) if isinstance(value, int) else format_float(value)
 
 
-def _render(args, columns: Sequence[str], rows: Sequence[dict], spec: dict) -> str:
-    """CSV table, or the JSON document for command args.command."""
+def _render(args, rows: Sequence[dict], spec: dict) -> str:
+    """CSV table headed by the first row's keys, or the JSON document."""
     if args.format == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(_cell(row[c]) for c in columns) for row in rows]
+        lines = [",".join(rows[0])]
+        lines += [",".join(_cell(value) for value in row.values()) for row in rows]
         return "\n".join(lines) + "\n"
-    doc = {
-        "schema": "v1",
-        "command": args.command,
-        "function": spec,
-        "rows": [{c: row[c] for c in columns} for row in rows],
-    }
+    doc = {"schema": "v1", "command": args.command, "function": spec, "rows": rows}
     return dumps_canonical(doc)
 
 
@@ -160,7 +149,6 @@ def _cmd_means(args) -> str:
     dense = p.log_taylor(trunc)  # computes the coefficients log_coeffs reuses
     a = p.log_coeffs(trunc)
     profile = parseval_means(a, radii)
-    columns = ["r", "I_parseval", "tail_bound"]
     rows = [
         {"r": r, "I_parseval": value, "tail_bound": tail}
         for r, value, tail in zip(radii, profile.values, profile.tail_bounds)
@@ -170,13 +158,10 @@ def _cmd_means(args) -> str:
         # Lacunary terms past trunc are dropped here, not in the Parseval
         # column, so quad_rel_err then measures them, not the routes.
         quad = quadrature_means(dense, radii, 1 << trunc.bit_length())
-        columns += ["I_quadrature", "quad_rel_err"]
         for row, value in zip(rows, quad):
-            row["I_quadrature"] = value
-            row["quad_rel_err"] = abs(value - row["I_parseval"]) / max(
-                row["I_parseval"], 1e-30
-            )
-    return _render(args, columns, rows, p.spec_dict)
+            err = abs(value - row["I_parseval"]) / max(row["I_parseval"], 1e-30)
+            row.update(I_quadrature=value, quad_rel_err=err)
+    return _render(args, rows, p.spec_dict)
 
 
 def _cmd_h2(args) -> str:
@@ -190,22 +175,19 @@ def _cmd_h2(args) -> str:
         "ceiling": H2_CEILING,
         "margin": H2_CEILING - total,
     }
-    return _render(args, list(row), [row], p.spec_dict)
+    return _render(args, [row], p.spec_dict)
 
 
 def _cmd_star(args) -> str:
     rows = star_sweep(_at_least(args.kmax, 1, "--kmax"))
-    columns = ["k", "r_k", "means", "lower_bound", "ratio_to_lower"]
-    spec = {"type": "theorem2_star", "k_max": args.kmax}
-    return _render(args, columns, rows, spec)
+    return _render(args, rows, {"type": "theorem2_star", "k_max": args.kmax})
 
 
 def _cmd_gauge(args) -> str:
     phi = Gauge.from_string(args.phi)
     _, rows = gauge_sweep(phi, _capped(args.kmax, MAX_KMAX, "--kmax"))
-    columns = ["k", "n_k", "ratio", "floor", "ratio_to_floor"]
     spec = {"type": "theorem3_gauge", "gauge": phi.label(), "k_max": args.kmax}
-    return _render(args, columns, rows, spec)
+    return _render(args, rows, spec)
 
 
 def canonical_suite(gauge: Gauge, k_max_star: int, k_max_gauge: int):
@@ -251,20 +233,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="-", help="output path, '-' = stdout")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
+    def add_spec(p):
+        p.add_argument("--spec", required=True, help="function spec JSON or @file")
+        p.add_argument("--trunc", type=int, default=2048)
+
     p_means = sub.add_parser("means", help="means profile over a radius grid")
-    p_means.add_argument("--spec", required=True, help="function spec JSON or @file")
+    add_spec(p_means)
     p_means.add_argument(
         "--radii",
         default="geometric:0.5,0.5,20",
         help="geometric:<start>,<factor>,<count> or critical-star:<k_max>",
     )
-    p_means.add_argument("--trunc", type=int, default=2048)
     add_io(p_means)
     p_means.set_defaults(run=_cmd_means)
 
     p_h2 = sub.add_parser("h2", help="squared-coefficient sum of log p")
-    p_h2.add_argument("--spec", required=True)
-    p_h2.add_argument("--trunc", type=int, default=2048)
+    add_spec(p_h2)
     add_io(p_h2)
     p_h2.set_defaults(run=_cmd_h2)
 

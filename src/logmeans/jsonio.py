@@ -11,17 +11,17 @@ import sys
 
 
 def int_str(n: int) -> str:
-    """Decimal form of an int of any size.
-
-    Schedule exponents can run to thousands of digits; lift the interpreter's
-    int-to-str guard (a protection against hostile input, not own output)
-    just far enough when that happens.
-    """
-    if n.bit_length() > 13000:
-        needed = n.bit_length() // 3 + 10  # digits < bits * log10(2) + 1
-        if sys.get_int_max_str_digits() < needed:
-            sys.set_int_max_str_digits(needed)
-    return str(n)
+    """Decimal form of an int of any size; the interpreter's int-to-str
+    digit limit is left as it was."""
+    try:
+        return str(n)
+    except ValueError:  # past the digit limit, a guard for input, not own output
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(n)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def format_float(x: float) -> str:
@@ -78,13 +78,22 @@ def dumps_canonical(obj: object) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
+    """Write via a temp file in the same directory, then rename into place,
+    with the mode open(path, "w") would give: an existing file keeps its
+    permission bits, a new one gets 0o666 less the umask."""
     import tempfile  # only file output pays for it
+    try:
+        mode = os.stat(path).st_mode & 0o7777
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

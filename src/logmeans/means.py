@@ -35,7 +35,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .errors import RadiusOutOfRange
-from .numerics import float_product, float_ratio, logsumexp
+from .numerics import LOG_MAX, float_product, float_ratio, logsumexp
 from .series import TWO_PI, DenseSeries, SparseSeries
 
 LOG_TWO_PI = math.log(TWO_PI)
@@ -97,9 +97,8 @@ def tail_bound(trunc_degree: int, neglog_r: float) -> float:
     if not x > 1.0:
         return math.inf
     ln_tail = 3.0 * math.log(math.pi) + 2.0 * math.log(np1) - 2.0 * x
-    if ln_tail > 700.0:
-        return math.inf
-    return math.exp(ln_tail)  # underflows harmlessly to 0 for huge x
+    # underflows harmlessly to 0 for huge x
+    return math.exp(ln_tail) if ln_tail <= LOG_MAX else math.inf
 
 
 def parseval_log_value_at_inv_n(a: SparseSeries, n: int) -> float:
@@ -112,16 +111,10 @@ def parseval_log_value_at_inv_n(a: SparseSeries, n: int) -> float:
         raise RadiusOutOfRange("n must be >= 1")
     logs = []
     for e, c in a.terms:
-        ac = abs(c)
-        if ac == 0.0:
-            continue
         ratio = float_ratio(e, n)  # e/n, saturating
-        if ratio == math.inf:
-            continue
-        logs.append(2.0 * math.log(e) + 2.0 * math.log(ac) - 2.0 * ratio)
-    if not logs:
-        return -math.inf
-    return LOG_TWO_PI + logsumexp(logs)
+        if ratio != math.inf:
+            logs.append(2.0 * math.log(e) + 2.0 * math.log(abs(c)) - 2.0 * ratio)
+    return LOG_TWO_PI + logsumexp(logs)  # -inf when no term is left
 
 
 def parseval_means(

@@ -25,11 +25,9 @@ LOG_MAX = 709.0  # exp overflows past this
 def logsumexp(values: Iterable[float]) -> float:
     """log(sum(exp(v))) without overflow; -inf for an empty or all -inf input."""
     vals = [v for v in values if v != -math.inf]
-    if not vals:
-        return -math.inf
-    m = max(vals)
-    if m == math.inf:
-        return math.inf
+    m = max(vals, default=-math.inf)
+    if math.isinf(m):
+        return m
     return m + math.log(math.fsum(math.exp(v - m) for v in vals))
 
 

@@ -27,7 +27,7 @@ import math
 from collections.abc import Sequence
 
 from .errors import NearZeroConstantTerm, RadiusOutOfRange
-from .numerics import exact_sum, float_product
+from .numerics import LOG_MAX, exact_sum, float_product
 
 TWO_PI = 2.0 * math.pi
 
@@ -157,7 +157,7 @@ class SparseSeries:
                 # e^2 |c|^2 r^(2e) is a normal double
                 ln_c2 = math.log(ac2) if ac2 >= 2.0 ** -1022 else 2.0 * math.log(abs(c))
                 ln_term = 2.0 * math.log(e) + ln_c2 - x
-                terms.append(math.exp(ln_term) if ln_term <= 700.0 else math.inf)
+                terms.append(math.exp(ln_term) if ln_term <= LOG_MAX else math.inf)
         return TWO_PI * math.fsum(terms)
 
     def h2_sum(self) -> float:

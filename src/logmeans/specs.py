@@ -24,7 +24,7 @@ from .caratheodory import (
     from_lacunary,
     mobius,
 )
-from .errors import ParseError, ToolkitError
+from .errors import ParseError
 from .extremal import Gauge, build_p_phi, build_p_star, choose_schedule
 from .series import SparseSeries
 
@@ -83,8 +83,6 @@ def parse_function_spec(spec: str | dict) -> CaratheodoryFunction:
                 choose_schedule(gauge, k_max),
                 {"type": "theorem3_gauge", "gauge": gauge.label(), "k_max": k_max},
             )
-    except ToolkitError:
-        raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed {kind!r} spec: {exc}") from None
     raise ParseError(f"unknown function spec type {kind!r}")

@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import stat
+import sys
 
 import mpmath
 import pytest
@@ -22,7 +24,9 @@ from logmeans.cli import (
     _load_spec,
     main,
 )
-from logmeans.jsonio import format_float
+from logmeans.errors import ParseError
+from logmeans.jsonio import format_float, int_str
+from logmeans.specs import decode_spec
 
 MOBIUS = '{"type":"mobius"}'
 
@@ -58,6 +62,16 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_json_keys_are_csv_header(argv, capsys):
+    """Each JSON row of argv has the CSV header's columns, in that order."""
+    code, csv_out, _ = run_cli(argv, capsys)
+    json_code, json_out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == json_code == 0
+    header = csv_out.splitlines()[0].split(",")
+    rows = json.loads(json_out)["rows"]
+    assert rows and all(list(row) == header for row in rows)
 
 
 class TestMeansCommand:
@@ -104,12 +118,11 @@ class TestMeansCommand:
     )
     def test_quadrature_column_rule_boundary(self, exponent, columns, capsys):
         spec = {"type": "lacunary", "terms": [{"exponent": exponent, "im": 0.5}]}
-        code, out, _ = run_cli(
-            ["means", "--spec", json.dumps(spec), "--radii", "geometric:0.5,0.5,3"],
-            capsys,
-        )
+        argv = ["means", "--spec", json.dumps(spec), "--radii", "geometric:0.5,0.5,3"]
+        code, out, _ = run_cli(argv, capsys)
         assert code == 0
         assert [len(line.split(",")) for line in out.splitlines()] == [columns] * 4
+        assert_json_keys_are_csv_header(argv, capsys)
 
     def test_spec_from_file(self, tmp_path, capsys):
         spec_file = tmp_path / "fn.json"
@@ -258,6 +271,7 @@ class TestH2Command:
         doc = json.loads(out)
         row = doc["rows"][0]
         assert row["h2_sum"] < row["ceiling"] == pytest.approx(math.pi ** 2 / 2)
+        assert_json_keys_are_csv_header(["h2", "--spec", MOBIUS], capsys)
 
 
 class TestStarCommand:
@@ -268,6 +282,7 @@ class TestStarCommand:
         assert doc["command"] == "star"
         for row in doc["rows"]:
             assert row["ratio_to_lower"] >= 1.0
+        assert_json_keys_are_csv_header(["star", "--kmax", "12"], capsys)
 
 
 class TestGaugeCommand:
@@ -285,6 +300,8 @@ class TestGaugeCommand:
         doc = json.loads(out)
         for row in doc["rows"]:
             assert row["ratio_to_floor"] >= 1.0 - 1e-10
+        argv = ["gauge", "--phi", "pow:1.0", "--kmax", "5"]
+        assert_json_keys_are_csv_header(argv, capsys)
 
     def test_kmax_cap_is_inclusive(self, capsys):
         code, out, _ = run_cli(["gauge", "--phi", "pow:1", "--kmax", str(MAX_KMAX)], capsys)
@@ -600,3 +617,28 @@ class TestDeterminism:
             "gauge_divergence",
             "least_exponent",
         }
+
+
+class TestOutputContract:
+    def test_int_str_leaves_the_digit_limit_unchanged(self):
+        # 2^20000 has 6,021 digits, past the default limit of 4,300
+        limit = sys.get_int_max_str_digits()
+        assert len(int_str(1 << 20000)) == 6021
+        assert sys.get_int_max_str_digits() == limit
+        with pytest.raises(ParseError):
+            decode_spec('{"type":"lacunary","terms":[{"exponent":%s}]}' % ("9" * 5000))
+
+    def test_out_file_mode_is_what_open_would_give(self, tmp_path, capsys):
+        new, existing = tmp_path / "new.csv", tmp_path / "existing.csv"
+        existing.write_text("old\n")
+        existing.chmod(0o640)
+        umask = os.umask(0o022)
+        try:
+            for path in (new, existing):
+                code, _, _ = run_cli(["star", "--kmax", "3", "--out", str(path)], capsys)
+                assert code == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(new.stat().st_mode) == 0o644
+        assert stat.S_IMODE(existing.stat().st_mode) == 0o640
+        assert existing.read_text() == new.read_text()

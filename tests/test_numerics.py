@@ -66,14 +66,14 @@ def test_exp_of_negated_product_against_mpmath(s, e):
 
 def tail_oracle(trunc_degree, s):
     """(pi^3 (N+1)^2 exp(-2(N+1)s) at 50 digits, relative tolerance), with
-    +inf where (N+1)s <= 1 or where the log of the bound passes 700, as
+    +inf where (N+1)s <= 1 or where the log of the bound passes LOG_MAX, as
     tail_bound caps it.  exp(-2x) scales the relative error of x by 2x."""
     np1 = trunc_degree + 1
     x = mpmath.mpf(s) * np1
     if x <= 1:
         return math.inf, 0.0
     ln_tail = 3 * mpmath.log(mpmath.pi) + 2 * mpmath.log(np1) - 2 * x
-    if ln_tail > 700:
+    if ln_tail > LOG_MAX:
         return math.inf, 0.0
     rel = 2 * float(x) * PRODUCT_REL
     rel += 8 * EPS * float(2 * mpmath.log(np1) + 2 * x + 4)
@@ -137,6 +137,21 @@ def test_sparse_parseval_straddling_the_switch(s):
 def test_sparse_parseval_where_the_power_is_subnormal(terms, s):
     want, rel = parseval_oracle(terms, s)
     assert close(SparseSeries(terms).parseval_value(s), want, rel)
+
+
+# The log of the term (e = 2^508) and of the tail bound (N+1 = 2^508,
+# (N+1)s = 1.5) is near 705, in (700, LOG_MAX]: both are finite doubles.
+def test_sparse_parseval_just_below_exp_overflow():
+    terms = [(2 ** 508, 1.5)]
+    want, rel = parseval_oracle(terms, 1e-300)
+    assert 700 < math.log(want / (2 * math.pi)) <= LOG_MAX
+    assert close(SparseSeries(terms).parseval_value(1e-300), want, rel)
+
+
+def test_tail_bound_just_below_exp_overflow():
+    want, rel = tail_oracle(2 ** 508 - 1, 1.5 / 2 ** 508)
+    assert 700 < math.log(want) <= LOG_MAX
+    assert close(tail_bound(2 ** 508 - 1, 1.5 / 2 ** 508), want, rel)
 
 
 def test_sparse_parseval_after_the_power_underflows():
