@@ -15,9 +15,8 @@ from .analysis import (
 )
 from .caratheodory import (
     CaratheodoryFunction,
-    HerglotzSpec,
-    from_herglotz,
-    from_lacunary,
+    Herglotz,
+    LacunaryExp,
     mobius,
 )
 from .errors import (
@@ -68,9 +67,10 @@ __all__ = [
     "Gauge",
     "GaugeHypothesisError",
     "GrowthFit",
-    "HerglotzSpec",
+    "Herglotz",
     "ImaginaryBoundViolated",
     "InvalidMeasure",
+    "LacunaryExp",
     "MeansProfile",
     "NearZeroConstantTerm",
     "ParseError",
@@ -86,8 +86,6 @@ __all__ = [
     "critical_radii_star",
     "exp_series",
     "fit_exponent",
-    "from_herglotz",
-    "from_lacunary",
     "gauge_sweep",
     "geometric_radii",
     "little_o_check",

@@ -1,27 +1,22 @@
 """Certified constructors for holomorphic functions with positive real part
 on the unit disc.
 
-Two constructions, each answering log_coeffs(degree) in its exact form:
-Herglotz (a kernel sum, dense closed form; the Mobius map (1+z)/(1-z) is
-its one-atom case) and LacunaryExp (exp of a sparse series F, which it
-returns).  Two analytic certification routes are implemented, and only
-these:
+CaratheodoryFunction has exactly two subclasses, one per analytic
+certification route; each holds its data, validates it when built and
+answers its log-coefficients in their exact form:
 
-* ByConstruction: an atomic Herglotz kernel sum i*c + sum w_j*(z_j+z)/(z_j-z)
-  with positive weights has positive real part term by term.
-* ByImaginaryBound: p = exp(F) for a sparse F whose coefficient magnitudes
-  sum to B < pi/2, so |Im F| <= B and Re p = e^{Re F} * cos(Im F) > 0.
+* Herglotz: an atomic kernel sum i*c + sum w_j*(z_j+z)/(z_j-z) with
+  positive weights has positive real part term by term.
+* LacunaryExp: p = exp(F) for a sparse F whose coefficient magnitudes sum
+  to B < pi/2, so |Im F| <= B and Re p = e^{Re F} * cos(Im F) > 0.
 
-Only Herglotz computes with numpy (its zeros and power sums are array
-work), and it imports numpy in those methods; LacunaryExp and
-CaratheodoryFunction need none.
+Only Herglotz computes with numpy, and it imports numpy in its methods.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections import namedtuple
 from collections.abc import Sequence
 
 from .errors import ImaginaryBoundViolated, InvalidMeasure
@@ -39,16 +34,45 @@ MARGIN = 1e-9
 BLOCK = 256
 
 
-class HerglotzSpec(namedtuple("HerglotzSpec", "atoms im_p0")):
-    """Atomic positive measure on the circle plus an imaginary constant.
+class CaratheodoryFunction:
+    """A function with positive real part, its spec and the schedule of a
+    gauge-adapted build (else None), all fixed when built.
 
-    atoms: (angle in [0, 2*pi), weight > 0) pairs, at least one.
-    im_p0: imaginary part of the value at the origin.
+    Log-coefficients come from the subclass's _log_coeffs, cached per degree.
     """
 
-    __slots__ = ()
+    schedule = None
 
-    def __new__(cls, atoms: Sequence[tuple[float, float]], im_p0: float = 0.0):
+    def __init__(self, spec_dict: dict):
+        self.spec_dict = spec_dict
+        self._log_cache: dict[int, DenseSeries | SparseSeries] = {}
+
+    def log_coeffs(self, degree: int) -> DenseSeries | SparseSeries:
+        """Taylor coefficients of log(p) in the construction's exact form:
+        all of them for a sparse series, up to the degree for a dense one."""
+        got = self._log_cache.get(degree)
+        if got is None:
+            got = self._log_cache[degree] = self._log_coeffs(degree)
+        return got
+
+    def log_taylor(self, degree: int) -> DenseSeries:
+        """Dense Taylor coefficients of log(p) to the given degree."""
+        return self.log_coeffs(degree).dense(degree)
+
+
+class Herglotz(CaratheodoryFunction):
+    """Kernel sum p(z) = i*im_p0 + sum_j w_j*(zeta_j+z)/(zeta_j-z) over
+    atoms (angle, weight > 0), at least one; angles are kept mod 2*pi.
+
+    p is rational with the poles zeta_j = e^{i*theta_j}; as Re p > 0 in the
+    disc, its zeros eta_j = e^{i*psi_j} all lie on the circle
+    (boundary_zeros).  Hence a_0 = log(sum w_j + i*c) on the principal
+    branch and a_n = (sum_j zeta_j^-n - sum_j eta_j^-n)/n for J distinct
+    atoms (Duren, Univalent Functions, 1983, ch. 1).  The sums cost O(N*J);
+    the zeros cost O(J^2) per bisection step.
+    """
+
+    def __init__(self, atoms: Sequence[tuple[float, float]], im_p0: float = 0.0):
         if len(atoms) == 0:
             raise InvalidMeasure("at least one atom required")
         im_p0 = float(im_p0)
@@ -63,46 +87,20 @@ class HerglotzSpec(namedtuple("HerglotzSpec", "atoms im_p0")):
                 raise InvalidMeasure(f"angle {t!r} must be finite")
             norm.append((t % (2.0 * math.pi), w))
         try:
-            math.fsum(w for _, w in norm)
+            self.total_mass = math.fsum(w for _, w in norm)
         except OverflowError:
             raise InvalidMeasure("total mass overflows a double") from None
-        return super().__new__(cls, tuple(norm), im_p0)
-
-    @property
-    def total_mass(self) -> float:
-        return math.fsum(w for _, w in self.atoms)
-
-
-class ByConstruction(namedtuple("ByConstruction", "")):
-    """Positivity holds because every kernel term has positive real part."""
-
-    __slots__ = ()
-
-
-class ByImaginaryBound(namedtuple("ByImaginaryBound", "bound")):
-    """Positivity holds because |Im log p| <= bound < pi/2."""
-
-    __slots__ = ()
-
-
-class Herglotz(namedtuple("Herglotz", "spec")):
-    """Kernel sum; log-coefficients in closed form.
-
-    p = i*c + sum_j w_j*(zeta_j+z)/(zeta_j-z) is rational with the poles
-    zeta_j = e^{i*theta_j}; as Re p > 0 in the disc, its zeros
-    eta_j = e^{i*psi_j} all lie on the circle (boundary_zeros).  Hence
-    a_0 = log(sum w_j + i*c) on the principal branch and
-    a_n = (sum_j zeta_j^-n - sum_j eta_j^-n)/n for J distinct atoms (Duren,
-    Univalent Functions, 1983, ch. 1).  The sums cost O(N*J); the zeros
-    cost O(J^2) per bisection step.
-    """
-
-    __slots__ = ()
+        self.atoms, self.im_p0 = tuple(norm), im_p0
+        super().__init__({
+            "type": "herglotz",
+            "atoms": [{"theta": t, "weight": w} for t, w in norm],
+            "im_p0": im_p0,
+        })
 
     def _merged_atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct atom angles, sorted, and the summed weight at each."""
         import numpy as np
-        thetas, weights = np.array(self.spec.atoms).T
+        thetas, weights = np.array(self.atoms).T
         angles, index = np.unique(thetas, return_inverse=True)
         return angles, np.bincount(index, weights=weights)
 
@@ -118,7 +116,7 @@ class Herglotz(namedtuple("Herglotz", "spec")):
         import numpy as np
         thetas, weights = self._merged_atoms()
         mass = weights.sum()  # the zeros do not depend on the scale
-        weights, c = weights / mass, self.spec.im_p0 / mass
+        weights, c = weights / mass, self.im_p0 / mass
         lo = thetas.copy()
         hi = np.append(thetas[1:], thetas[0] + 2.0 * math.pi)
         g_lo, g_hi = np.full(lo.size, np.inf), np.full(lo.size, -np.inf)
@@ -136,13 +134,13 @@ class Herglotz(namedtuple("Herglotz", "spec")):
             lo, g_lo = np.where(up, mid, lo), np.where(up, g, g_lo)
             hi, g_hi = np.where(down, mid, hi), np.where(down, g, g_hi)
 
-    def log_coeffs(self, degree: int) -> DenseSeries:
+    def _log_coeffs(self, degree: int) -> DenseSeries:
         import numpy as np
         thetas, _ = self._merged_atoms()
         angles = np.concatenate([thetas, self.boundary_zeros()])
         out = _power_sums(angles, np.repeat([1.0, -1.0], thetas.size), degree)
         out[1:] /= np.arange(1, degree + 1)
-        out[0] = cmath.log(complex(self.spec.total_mass, self.spec.im_p0))
+        out[0] = cmath.log(complex(self.total_mass, self.im_p0))
         return DenseSeries(out)
 
 
@@ -165,87 +163,36 @@ def _power_sums(angles: np.ndarray, weights: np.ndarray, degree: int) -> np.ndar
     return out.ravel()[: degree + 1]
 
 
-class LacunaryExp(namedtuple("LacunaryExp", "series")):
-    """exp(F) for a sparse F; the log-coefficients are F itself."""
-
-    __slots__ = ()
-
-    def log_coeffs(self, degree: int) -> SparseSeries:
-        return self.series
-
-
-class CaratheodoryFunction:
-    """A function with positive real part, its certificate, its spec and the
-    schedule of a gauge-adapted build (else None), all fixed when built.
-
-    Log-coefficients come from the construction, cached per degree.
-    """
-
-    def __init__(self, construction, certificate, spec_dict: dict, schedule=None):
-        self.construction = construction
-        self.certificate = certificate
-        self.spec_dict = spec_dict
-        self.schedule = schedule
-        self._log_cache: dict[int, DenseSeries | SparseSeries] = {}
-
-    def log_coeffs(self, degree: int) -> DenseSeries | SparseSeries:
-        """Taylor coefficients of log(p) in the construction's exact form:
-        all of them for a sparse series, up to the degree for a dense one."""
-        got = self._log_cache.get(degree)
-        if got is None:
-            got = self._log_cache[degree] = self.construction.log_coeffs(degree)
-        return got
-
-    def log_taylor(self, degree: int) -> DenseSeries:
-        """Dense Taylor coefficients of log(p) to the given degree."""
-        return self.log_coeffs(degree).dense(degree)
-
-    def __repr__(self) -> str:
-        return (
-            f"CaratheodoryFunction({type(self.construction).__name__}, "
-            f"{self.certificate!r})"
-        )
-
-
-def mobius() -> CaratheodoryFunction:
+def mobius() -> Herglotz:
     """The function (1+z)/(1-z), the one-atom kernel sum at angle 0 with
     weight 1; its log-coefficients are 2/n at odd n."""
-    spec = HerglotzSpec([(0.0, 1.0)])
-    return CaratheodoryFunction(Herglotz(spec), ByConstruction(), {"type": "mobius"})
+    p = Herglotz([(0.0, 1.0)])
+    p.spec_dict = {"type": "mobius"}
+    return p
 
 
-def from_herglotz(spec: HerglotzSpec) -> CaratheodoryFunction:
-    """Kernel sum p(z) = i*im_p0 + sum_j w_j*(zeta_j+z)/(zeta_j-z).
+class LacunaryExp(CaratheodoryFunction):
+    """p = exp(F) for a sparse F, which is its log-coefficients.  The sum of
+    |c| over F, held as bound, bounds |Im F| on the closed disc; below
+    pi/2 - MARGIN it keeps p in the right half plane, else
+    ImaginaryBoundViolated.  Builders of named families pass their own spec,
+    and their schedule."""
 
-    Positive by construction; log-coefficients in closed form (see
-    Herglotz).
-    """
-    spec_dict = {
-        "type": "herglotz",
-        "atoms": [{"theta": t, "weight": w} for t, w in spec.atoms],
-        "im_p0": spec.im_p0,
-    }
-    return CaratheodoryFunction(Herglotz(spec), ByConstruction(), spec_dict)
+    def __init__(
+        self, series: SparseSeries, spec_dict: dict | None = None, schedule=None
+    ):
+        bound = series.abs_coeff_sum()
+        if bound >= math.pi / 2.0 - MARGIN:
+            raise ImaginaryBoundViolated(
+                f"sum of |coefficients| = {bound:.12g} reaches pi/2 - {MARGIN:g}"
+            )
+        if spec_dict is None:
+            terms = [
+                {"exponent": e, "re": c.real, "im": c.imag} for e, c in series.terms
+            ]
+            spec_dict = {"type": "lacunary", "terms": terms}
+        super().__init__(spec_dict)
+        self.series, self.bound, self.schedule = series, bound, schedule
 
-
-def from_lacunary(
-    f: SparseSeries, spec_dict: dict | None = None, schedule=None
-) -> CaratheodoryFunction:
-    """p = exp(F) for a sparse F with sum of |coefficients| < pi/2 - MARGIN.
-
-    The coefficient-magnitude sum bounds |Im F| on the closed disc, which
-    keeps the image of p inside the right half plane.  Raises
-    ImaginaryBoundViolated when the sufficient condition fails.  Builders
-    of named families pass their own spec, and their schedule.
-    """
-    bound = f.abs_coeff_sum()
-    if bound >= math.pi / 2.0 - MARGIN:
-        raise ImaginaryBoundViolated(
-            f"sum of |coefficients| = {bound:.12g} reaches pi/2 - {MARGIN:g}"
-        )
-    if spec_dict is None:
-        terms = [{"exponent": e, "re": c.real, "im": c.imag} for e, c in f.terms]
-        spec_dict = {"type": "lacunary", "terms": terms}
-    return CaratheodoryFunction(
-        LacunaryExp(f), ByImaginaryBound(bound), spec_dict, schedule
-    )
+    def _log_coeffs(self, degree: int) -> SparseSeries:
+        return self.series

@@ -24,7 +24,7 @@ import sys
 from collections.abc import Sequence
 
 from .analysis import UNIFORM_CONSTANT, corollary_report
-from .caratheodory import CaratheodoryFunction, HerglotzSpec, from_herglotz, mobius
+from .caratheodory import CaratheodoryFunction, Herglotz, mobius
 from .errors import ParseError, ToolkitError
 from .extremal import (
     Gauge,
@@ -195,7 +195,7 @@ def canonical_suite(gauge: Gauge, k_max_star: int, k_max_gauge: int):
     member goes through parse_function_spec, which sets its spec."""
     return [
         mobius(),
-        from_herglotz(HerglotzSpec([(0.0, 0.5), (math.pi, 0.5)])),
+        Herglotz([(0.0, 0.5), (math.pi, 0.5)]),
         build_p_star(k_max_star),
         parse_function_spec(
             {"type": "theorem3_gauge", "gauge": gauge.label(), "k_max": k_max_gauge}

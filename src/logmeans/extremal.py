@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .caratheodory import CaratheodoryFunction, from_lacunary
+from .caratheodory import CaratheodoryFunction, LacunaryExp
 from .errors import (
     ExponentOverflow,
     GaugeHypothesisError,
@@ -188,7 +188,7 @@ def choose_schedule(phi: Gauge, k_max: int) -> ExponentSchedule:
     return ExponentSchedule(tuple(found))
 
 
-def build_p_star(k_max: int) -> CaratheodoryFunction:
+def build_p_star(k_max: int) -> LacunaryExp:
     """The dyadic lacunary function exp((i/2) * sum_{k<=k_max} z^(2^k)/k^2)."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -197,7 +197,7 @@ def build_p_star(k_max: int) -> CaratheodoryFunction:
             f"k_max = {k_max} puts exponents past 2^{MAX_STAR_INDEX}"
         )
     terms = [(2 ** k, 0.5j / (k * k)) for k in range(1, k_max + 1)]
-    return from_lacunary(SparseSeries(terms), {"type": "theorem2_star", "k_max": k_max})
+    return LacunaryExp(SparseSeries(terms), {"type": "theorem2_star", "k_max": k_max})
 
 
 def critical_radii_star(k_max: int) -> list[float]:
@@ -217,13 +217,13 @@ def critical_radii_star(k_max: int) -> list[float]:
 
 def build_p_phi(
     schedule: ExponentSchedule, spec_dict: dict | None = None
-) -> CaratheodoryFunction:
+) -> LacunaryExp:
     """exp((i/2) * sum z^(n_k)/k^2) for a chosen exponent schedule, which
     the function carries; the spec defaults to the lacunary one."""
     terms = [
         (n, 0.5j / (k * k)) for k, n in enumerate(schedule.n_k, start=1)
     ]
-    return from_lacunary(SparseSeries(terms), spec_dict, schedule)
+    return LacunaryExp(SparseSeries(terms), spec_dict, schedule)
 
 
 def ratio_at_schedule(p: CaratheodoryFunction, phi: Gauge) -> list[float]:

@@ -79,16 +79,18 @@ def dumps_canonical(obj: object) -> str:
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write via a temp file in the same directory, then rename into place,
-    with the mode open(path, "w") would give: an existing file keeps its
-    permission bits, a new one gets 0o666 less the umask."""
+    where and with the mode open(path, "w") would: through any symlink to
+    its target (a dangling one creates it), an existing file keeping its
+    permission bits, a new one getting 0o666 less the umask."""
     import tempfile  # only file output pays for it
+    path = os.path.realpath(path)
     try:
         mode = os.stat(path).st_mode & 0o7777
     except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
         mode = 0o666 & ~umask
-    directory = os.path.dirname(os.path.abspath(path))
+    directory = os.path.dirname(path)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:

@@ -3,7 +3,7 @@
 DenseSeries holds complex Taylor coefficients 0..N with explicit truncation
 degree.  SparseSeries holds (exponent, coefficient) pairs with strictly
 increasing integer exponents; exponents may be arbitrarily large Python
-integers, which is what makes the lacunary constructions representable.
+integers, which is what makes the lacunary functions (LacunaryExp) work.
 Both types sum their own Parseval means 2*pi * sum n^2 |a_n|^2 r^(2n) and
 H^2 partial sum sum |a_n|^2 over the nonconstant coefficients, correctly
 rounded (numerics.exact_sum for dense arrays, math.fsum for sparse terms),

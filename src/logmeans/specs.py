@@ -8,22 +8,18 @@ Accepted shapes:
     {"type": "theorem2_star", "k_max": K}
     {"type": "theorem3_gauge", "gauge": "<gauge string>", "k_max": K}
 
-Every function is built with its spec dict, which it carries on .spec_dict,
-so emitted specs re-parse to an equivalent function.  Integer fields
-(exponent, k_max) take JSON integers or integral floats such as 4.0 only.
+mobius and herglotz specs build a caratheodory.Herglotz, the others a
+caratheodory.LacunaryExp.  Every function is built with its spec dict,
+which it carries on .spec_dict, so emitted specs re-parse to an equivalent
+function.  Integer fields (exponent, k_max) take JSON integers or integral
+floats such as 4.0 only.
 """
 
 from __future__ import annotations
 
 import json
 
-from .caratheodory import (
-    CaratheodoryFunction,
-    HerglotzSpec,
-    from_herglotz,
-    from_lacunary,
-    mobius,
-)
+from .caratheodory import CaratheodoryFunction, Herglotz, LacunaryExp, mobius
 from .errors import ParseError
 from .extremal import Gauge, build_p_phi, build_p_star, choose_schedule
 from .series import SparseSeries
@@ -64,7 +60,7 @@ def parse_function_spec(spec: str | dict) -> CaratheodoryFunction:
                 (float(a["theta"]), float(a["weight"]))
                 for a in spec.get("atoms", [])
             ]
-            return from_herglotz(HerglotzSpec(atoms, float(spec.get("im_p0", 0.0))))
+            return Herglotz(atoms, float(spec.get("im_p0", 0.0)))
         if kind == "lacunary":
             terms = [
                 (
@@ -73,7 +69,7 @@ def parse_function_spec(spec: str | dict) -> CaratheodoryFunction:
                 )
                 for t in spec.get("terms", [])
             ]
-            return from_lacunary(SparseSeries(terms))
+            return LacunaryExp(SparseSeries(terms))
         if kind == "theorem2_star":
             return build_p_star(integer_field(spec["k_max"], "k_max"))
         if kind == "theorem3_gauge":

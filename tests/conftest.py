@@ -2,12 +2,7 @@ import math
 
 import pytest
 
-from logmeans import (
-    HerglotzSpec,
-    build_p_star,
-    from_herglotz,
-    mobius,
-)
+from logmeans import Herglotz, build_p_star, mobius
 
 
 @pytest.fixture(scope="session")
@@ -15,8 +10,8 @@ def certified_suite():
     """Mix of certification routes: kernel sums and a lacunary exponential."""
     return [
         mobius(),
-        from_herglotz(HerglotzSpec([(0.0, 0.5), (math.pi, 0.5)])),
-        from_herglotz(HerglotzSpec([(0.3, 1.2), (2.0, 0.4), (4.4, 0.9)], im_p0=0.25)),
+        Herglotz([(0.0, 0.5), (math.pi, 0.5)]),
+        Herglotz([(0.3, 1.2), (2.0, 0.4), (4.4, 0.9)], im_p0=0.25),
         build_p_star(25),
     ]
 

@@ -14,13 +14,12 @@ import numpy as np
 from logmeans import (
     DenseSeries,
     Gauge,
-    HerglotzSpec,
+    Herglotz,
     MeansProfile,
     build_p_star,
     critical_radii_star,
     exp_series,
     fit_exponent,
-    from_herglotz,
     gauge_sweep,
     little_o_check,
     log_series,
@@ -81,7 +80,7 @@ def test_criterion_02_parseval_equals_quadrature():
             (float(rng.uniform(0, 2 * PI)), float(rng.uniform(0.1, 2.0)))
             for _ in range(count)
         ]
-        p = from_herglotz(HerglotzSpec(atoms, im_p0=float(rng.uniform(-1, 1))))
+        p = Herglotz(atoms, im_p0=float(rng.uniform(-1, 1)))
         pv = parseval_means(p.log_taylor(512), radii)
         quad = quadrature_means(p.log_taylor(512), radii, 1025)
         for a, b in zip(pv.values, quad):

@@ -7,6 +7,7 @@ import pytest
 from logmeans import (
     DegenerateProfile,
     Gauge,
+    LacunaryExp,
     MeansProfile,
     SparseSeries,
     UNIFORM_CONSTANT,
@@ -14,7 +15,6 @@ from logmeans import (
     corollary_report,
     critical_radii_star,
     fit_exponent,
-    from_lacunary,
     little_o_check,
     mobius,
     parseval_means,
@@ -73,7 +73,7 @@ class TestLittleO:
         assert seq[-1] < 1e-4
 
     def test_constant_function(self):
-        p = from_lacunary(SparseSeries([]))
+        p = LacunaryExp(SparseSeries([]))
         profile = parseval_means(p.log_taylor(8), [0.3, 0.6, 0.9])
         assert little_o_check(profile) == [0.0, 0.0, 0.0]
 
@@ -108,7 +108,7 @@ class TestCorollaryReport:
         assert parts["least_exponent"]["slope"] > 1.5
 
     def test_trivial_suite_marks_not_applicable(self):
-        suite = [from_lacunary(SparseSeries([]))]
+        suite = [LacunaryExp(SparseSeries([]))]
         report = corollary_report(suite, Gauge(1.9))
         parts = report.parts
         assert parts["uniform_bound"]["pass"] is True

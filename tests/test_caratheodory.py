@@ -13,24 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logmeans import (
+    CaratheodoryFunction,
     DenseSeries,
-    HerglotzSpec,
+    Herglotz,
     ImaginaryBoundViolated,
     InvalidMeasure,
+    LacunaryExp,
     SparseSeries,
-    from_herglotz,
-    from_lacunary,
     log_series,
     mobius,
     parse_function_spec,
 )
 from logmeans import caratheodory, series
-from logmeans.caratheodory import (
-    ByConstruction,
-    ByImaginaryBound,
-    CaratheodoryFunction,
-    Herglotz,
-)
 
 
 def star_series(k_max):
@@ -55,10 +49,10 @@ def sparse_log_values(f, r, steps):
     return out
 
 
-def kernel_value(spec, z):
+def kernel_value(p, z):
     """i*im_p0 + sum_j w_j*(zeta_j+z)/(zeta_j-z), summed directly."""
-    acc = 1j * spec.im_p0
-    for theta, w in spec.atoms:
+    acc = 1j * p.im_p0
+    for theta, w in p.atoms:
         zeta = cmath.exp(1j * theta)
         acc = acc + w * (zeta + z) / (zeta - z)
     return acc
@@ -78,18 +72,18 @@ def certify_numeric(log_values, radial_steps, angular_steps):
     return best
 
 
-def oracle_log_coeffs(spec, ns, dps=40):
+def oracle_log_coeffs(p, ns, dps=40):
     """a_n of log p for a kernel sum at the given n, with mpmath at dps
     digits: zeros of p on the circle by bracketed findroot on each arc
     between atoms (an unbracketed start can land on a neighbouring arc),
     each checked by a sign change of p/i across it."""
     with mpmath.workdps(dps):
         merged = {}
-        for t, w in spec.atoms:
+        for t, w in p.atoms:
             merged[t] = merged.get(t, 0) + mpmath.mpf(w)
         thetas = [mpmath.mpf(t) for t in sorted(merged)]
         weights = [merged[t] for t in sorted(merged)]
-        c = mpmath.mpf(spec.im_p0)
+        c = mpmath.mpf(p.im_p0)
 
         def g(x):  # p(e^{ix}) / i
             return c + mpmath.fsum(
@@ -119,19 +113,19 @@ class TestMobius:
         assert a[0] == 0
 
     def test_certificate(self):
-        assert isinstance(mobius().certificate, ByConstruction)
+        assert isinstance(mobius(), Herglotz)
 
 
 class TestHerglotz:
     def test_single_atom_matches_mobius(self):
-        p = from_herglotz(HerglotzSpec([(0.0, 1.0)]))
+        p = Herglotz([(0.0, 1.0)])
         assert np.array_equal(p.log_taylor(4096).coeffs, mobius().log_taylor(4096).coeffs)
         assert mobius().spec_dict == {"type": "mobius"}
 
     def test_two_atoms(self):
         # equal atoms at 1 and -1 average to (1+z^2)/(1-z^2), whose
         # log-coefficients are a_2m = 2/m at odd m and 0 elsewhere
-        p = from_herglotz(HerglotzSpec([(0.0, 0.5), (math.pi, 0.5)]))
+        p = Herglotz([(0.0, 0.5), (math.pi, 0.5)])
         a = p.log_taylor(4096).coeffs
         n = np.arange(4097)
         exact = np.where(n % 4 == 2, 4.0 / np.maximum(n, 1), 0.0)
@@ -139,15 +133,23 @@ class TestHerglotz:
 
     def test_invalid_weight(self):
         with pytest.raises(InvalidMeasure):
-            HerglotzSpec([(0.0, -1.0)])
+            Herglotz([(0.0, -1.0)])
         with pytest.raises(InvalidMeasure):
-            HerglotzSpec([])
+            Herglotz([])
         with pytest.raises(InvalidMeasure):  # total mass overflows
-            HerglotzSpec([(0.5, 1e308), (2.5, 1e308)])
+            Herglotz([(0.5, 1e308), (2.5, 1e308)])
         with pytest.raises(InvalidMeasure):
-            HerglotzSpec([(math.inf, 1.0)])
+            Herglotz([(math.inf, 1.0)])
         with pytest.raises(InvalidMeasure):
-            HerglotzSpec([(0.0, 1.0)], im_p0=math.nan)
+            Herglotz([(0.0, 1.0)], im_p0=math.nan)
+
+    def test_atoms_normalised(self):
+        # angles reduced mod 2*pi, integers stored as floats, order kept
+        p = Herglotz([(7.0, 0.5), (1.0, 2)], im_p0=-1)
+        assert p.atoms == ((7.0 - 2 * math.pi, 0.5), (1.0, 2.0))
+        assert all(type(x) is float for atom in p.atoms for x in atom)
+        assert type(p.im_p0) is float and p.im_p0 == -1.0
+        assert p.total_mass == 2.5
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(-math.pi, math.pi))
@@ -155,19 +157,17 @@ class TestHerglotz:
         # rotating every atom by phi multiplies a_n by e^{-i n phi}; the
         # bound counts the rounding of the angles and of the phases n*angle
         atoms = [(0.3, 1.2), (2.0, 0.4), (4.4, 0.9)]
-        base = from_herglotz(HerglotzSpec(atoms)).log_taylor(32).coeffs
-        rotated = from_herglotz(
-            HerglotzSpec([(t + phi, w) for t, w in atoms])
-        ).log_taylor(32).coeffs
+        base = Herglotz(atoms).log_taylor(32).coeffs
+        rotated = Herglotz([(t + phi, w) for t, w in atoms]).log_taylor(32).coeffs
         n = np.arange(33)
         expected = base * np.exp(-1j * n * phi)
         assert rotated[0] == base[0]
         assert np.all(np.abs(n * (rotated - expected)) <= 8 * n * np.spacing(2 * math.pi))
 
 
-def random_spec(atoms, seed):
+def random_kernel_sum(atoms, seed):
     rng = random.Random(seed)
-    return HerglotzSpec(
+    return Herglotz(
         [
             (rng.uniform(0.0, 2.0 * math.pi), math.exp(rng.uniform(-2.3, 2.3)))
             for _ in range(atoms)
@@ -180,21 +180,23 @@ class TestHerglotzLogCoefficients:
     """Log-coefficients in closed form from the zeros of p on the circle."""
 
     @pytest.mark.parametrize(
-        "spec",
-        [HerglotzSpec([(0.1, 0.7), (2.5, 1.1), (5.0, 0.2)], -0.4), random_spec(64, 5)],
+        "p",
+        [
+            Herglotz([(0.1, 0.7), (2.5, 1.1), (5.0, 0.2)], -0.4),
+            random_kernel_sum(64, 5),
+        ],
         ids=["3-atom", "64-atom"],
     )
-    def test_at_least_as_accurate_as_the_recurrence(self, spec):
+    def test_at_least_as_accurate_as_the_recurrence(self, p):
         # max |n (a_n - oracle)| / max n |oracle| over n sampled up to 2^16
         degree = 2 ** 16
         ns = sorted({round(2 ** (16 * k / 40)) for k in range(41)})
-        oracle = oracle_log_coeffs(spec, ns)
+        oracle = oracle_log_coeffs(p, ns)
         scale = max(n * abs(oracle[n]) for n in ns)
-        p = Herglotz(spec)
         closed = p.log_coeffs(degree).coeffs
         # Taylor coefficients of p: b_n = 2 * sum_j w_j * zeta_j^-n
         taylor = 2.0 * caratheodory._power_sums(*p._merged_atoms(), degree)
-        taylor[0] = spec.total_mass + 1j * spec.im_p0
+        taylor[0] = p.total_mass + 1j * p.im_p0
         recurrence = log_series(DenseSeries(taylor)).coeffs
         closed_err = max(n * abs(closed[n] - oracle[n]) for n in ns) / scale
         recurrence_err = max(n * abs(recurrence[n] - oracle[n]) for n in ns) / scale
@@ -207,7 +209,7 @@ class TestHerglotzLogCoefficients:
     def test_one_atom_exact(self, theta, weight, im_p0):
         # the zero is -zeta*(w + i*c)/(w - i*c), so a_n = zeta^-n (1 - (-q)^n)/n
         # with q = (w - i*c)/(w + i*c)
-        a = Herglotz(HerglotzSpec([(theta, weight)], im_p0)).log_coeffs(2 ** 16).coeffs
+        a = Herglotz([(theta, weight)], im_p0).log_coeffs(2 ** 16).coeffs
         with mpmath.workdps(40):
             q = mpmath.mpc(weight, -im_p0) / mpmath.mpc(weight, im_p0)
             for n in (1, 2, 3, 10, 999, 4096, 50001, 2 ** 16):
@@ -218,15 +220,15 @@ class TestHerglotzLogCoefficients:
         assert a[0] == cmath.log(complex(weight, im_p0))
 
     def test_duplicate_angle_merges(self):
-        split = Herglotz(HerglotzSpec([(1.0, 0.25), (4.0, 2.0), (1.0, 0.5)], 0.3))
-        merged = Herglotz(HerglotzSpec([(1.0, 0.75), (4.0, 2.0)], 0.3))
+        split = Herglotz([(1.0, 0.25), (4.0, 2.0), (1.0, 0.5)], 0.3)
+        merged = Herglotz([(1.0, 0.75), (4.0, 2.0)], 0.3)
         a, b = split.log_coeffs(5000).coeffs, merged.log_coeffs(5000).coeffs
         assert np.array_equal(a, b)
 
     def test_zeros_interlace_with_atoms(self):
-        spec = random_spec(64, 11)
-        thetas = np.sort([t for t, _ in spec.atoms])
-        psi = Herglotz(spec).boundary_zeros()
+        p = random_kernel_sum(64, 11)
+        thetas = np.sort([t for t, _ in p.atoms])
+        psi = p.boundary_zeros()
         assert np.all(thetas < psi)
         assert np.all(psi[:-1] < thetas[1:]) and psi[-1] < thetas[0] + 2 * math.pi
 
@@ -236,37 +238,37 @@ class TestHerglotzLogCoefficients:
 
         monkeypatch.setattr(caratheodory, "log_series", refuse)
         monkeypatch.setattr(series, "log_series", refuse)
-        p = from_herglotz(HerglotzSpec([(0.5, 1.0), (3.0, 2.0)]))
+        p = Herglotz([(0.5, 1.0), (3.0, 2.0)])
         assert p.log_taylor(4096).truncation_degree == 4096
 
 
 class TestLacunary:
     def test_star_certificate_bound(self):
-        p = from_lacunary(star_series(30))
-        bound = p.certificate.bound
+        p = LacunaryExp(star_series(30))
+        bound = p.bound
         assert bound == pytest.approx(0.5 * sum(1 / k ** 2 for k in range(1, 31)))
         assert bound <= math.pi ** 2 / 12 < math.pi / 2
 
     def test_violation(self):
         with pytest.raises(ImaginaryBoundViolated):
-            from_lacunary(SparseSeries([(1, 2j)]))
+            LacunaryExp(SparseSeries([(1, 2j)]))
 
     def test_empty_is_one(self):
-        p = from_lacunary(SparseSeries([]))
-        assert p.certificate == ByImaginaryBound(0.0)
+        p = LacunaryExp(SparseSeries([]))
+        assert p.bound == 0.0
         assert not np.any(p.log_taylor(5).coeffs)
 
     def test_sampled_imaginary_part_within_bound(self):
-        p = from_lacunary(star_series(30))
+        p = LacunaryExp(star_series(30))
         f = p.log_coeffs(2 ** 30)
-        bound = p.certificate.bound
+        bound = p.bound
         for r in (0.2, 0.7, 0.95, 1.0):
             log_p = sparse_log_values(f, r, 16)
             assert np.all(np.abs(log_p.imag) <= bound + 1e-9)
             assert np.all(np.exp(log_p).real > 0)
 
     def test_log_taylor_is_densified_series(self):
-        p = from_lacunary(star_series(5))
+        p = LacunaryExp(star_series(5))
         dense = p.log_taylor(40).coeffs
         assert dense[2] == 0.5j and dense[32] == pytest.approx(0.5j / 25)
         assert np.count_nonzero(dense) == 5
@@ -282,9 +284,9 @@ class TestKernelSumValues:
         "p",
         [
             mobius(),
-            from_herglotz(HerglotzSpec([(0.0, 0.5), (math.pi, 0.5)])),
-            from_herglotz(HerglotzSpec([(0.3, 1.2), (2.0, 0.4), (4.4, 0.9)], 0.25)),
-            from_herglotz(random_spec(64, 5)),
+            Herglotz([(0.0, 0.5), (math.pi, 0.5)]),
+            Herglotz([(0.3, 1.2), (2.0, 0.4), (4.4, 0.9)], 0.25),
+            random_kernel_sum(64, 5),
         ],
         ids=["mobius", "2-atom", "3-atom", "64-atom"],
     )
@@ -294,7 +296,7 @@ class TestKernelSumValues:
         for r in (0.0, 0.5, 0.9, 0.99):
             got = np.exp(dense_log_values(a, r, steps))
             z = r * np.exp(2j * np.pi * np.arange(steps) / steps)
-            expected = kernel_value(p.construction.spec, z)
+            expected = kernel_value(p, z)
             tol = 32 * np.finfo(float).eps / (1.0 - r)
             assert np.max(np.abs(got / expected - 1.0)) <= tol
 
@@ -313,14 +315,14 @@ class TestCertifyNumeric:
         assert min_re == pytest.approx(expected, rel=1e-12)
 
     def test_constant_one(self):
-        f = from_lacunary(SparseSeries([])).log_coeffs(8)
+        f = LacunaryExp(SparseSeries([])).log_coeffs(8)
         min_re, _, _ = certify_numeric(
             lambda r, steps: sparse_log_values(f, r, steps), 3, 8
         )
         assert min_re == pytest.approx(1.0)
 
     def test_lacunary_grid(self):
-        f = from_lacunary(star_series(30)).log_coeffs(2 ** 30)
+        f = LacunaryExp(star_series(30)).log_coeffs(2 ** 30)
         min_re, _, _ = certify_numeric(
             lambda r, steps: sparse_log_values(f, r, steps), 20, 128
         )
@@ -356,6 +358,5 @@ class TestSpecRoundTrip:
         )
 
     def test_spec_is_required(self):
-        construction = Herglotz(HerglotzSpec([(0.0, 1.0)]))
         with pytest.raises(TypeError, match="spec_dict"):
-            CaratheodoryFunction(construction, ByConstruction())
+            CaratheodoryFunction()

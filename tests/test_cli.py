@@ -571,6 +571,121 @@ def test_output_matches_golden(name, capsys):
         assert golden_text(GOLDEN_ARGV[name], capsys) == handle.read()
 
 
+# Function spec -> the "function" field that means and h2 print for it under
+# --format json, byte for byte: angles reduced mod 2*pi, integer weights,
+# im_p0 and an integral float exponent normalised, a repeated angle kept.
+# Written once from the code before the kernel sum and the lacunary
+# exponential became the function classes; never regenerated.
+FUNCTION_FIELDS = [
+    ({"type": "mobius"}, """{
+    "type": "mobius"
+  }"""),
+    (
+        {
+            "type": "herglotz",
+            "atoms": [
+                {"theta": 7.0, "weight": 1},
+                {"theta": -1.0, "weight": 2},
+                {"theta": 7.0, "weight": 0.5},
+            ],
+            "im_p0": -1,
+        },
+        """{
+    "type": "herglotz",
+    "atoms": [
+      {
+        "theta": 7.1681469282041377e-01,
+        "weight": 1.0000000000000000e+00
+      },
+      {
+        "theta": 5.2831853071795862e+00,
+        "weight": 2.0000000000000000e+00
+      },
+      {
+        "theta": 7.1681469282041377e-01,
+        "weight": 5.0000000000000000e-01
+      }
+    ],
+    "im_p0": -1.0000000000000000e+00
+  }""",
+    ),
+    (
+        {
+            "type": "herglotz",
+            "atoms": [{"theta": 0.0, "weight": 0.5}, {"theta": math.pi, "weight": 0.5}],
+        },
+        """{
+    "type": "herglotz",
+    "atoms": [
+      {
+        "theta": 0.0000000000000000e+00,
+        "weight": 5.0000000000000000e-01
+      },
+      {
+        "theta": 3.1415926535897931e+00,
+        "weight": 5.0000000000000000e-01
+      }
+    ],
+    "im_p0": 0.0000000000000000e+00
+  }""",
+    ),
+    (
+        {
+            "type": "lacunary",
+            "terms": [
+                {"exponent": 2, "im": 0.5},
+                {"exponent": 4.0, "re": 0.1, "im": -0.2},
+            ],
+        },
+        """{
+    "type": "lacunary",
+    "terms": [
+      {
+        "exponent": 2,
+        "re": 0.0000000000000000e+00,
+        "im": 5.0000000000000000e-01
+      },
+      {
+        "exponent": 4,
+        "re": 1.0000000000000001e-01,
+        "im": -2.0000000000000001e-01
+      }
+    ]
+  }""",
+    ),
+    ({"type": "lacunary", "terms": []}, """{
+    "type": "lacunary",
+    "terms": []
+  }"""),
+    ({"type": "theorem2_star", "k_max": 4}, """{
+    "type": "theorem2_star",
+    "k_max": 4
+  }"""),
+    ({"type": "theorem3_gauge", "gauge": "pow:1.0", "k_max": 4}, """{
+    "type": "theorem3_gauge",
+    "gauge": "pow:1.0",
+    "k_max": 4
+  }"""),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    FUNCTION_FIELDS,
+    ids=["mobius", "herglotz-unreduced", "herglotz-no-im_p0", "lacunary",
+         "lacunary-empty", "theorem2_star", "theorem3_gauge"],
+)
+def test_json_function_field_is_pinned(spec, field, capsys):
+    means = ["--trunc", "64", "--radii", "geometric:0.5,0.5,3"]
+    for command, extra in (("means", means), ("h2", [])):
+        argv = [command, "--spec", json.dumps(spec), *extra, "--format", "json"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        head, _, rest = out.partition('\n  "function": ')
+        assert head == '{\n  "schema": "v1",\n  "command": "%s",' % command
+        assert rest.partition(',\n  "rows": ')[0] == field
+
+
 class TestDeterminism:
     def test_means_byte_identical(self, tmp_path, capsys):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -642,3 +757,23 @@ class TestOutputContract:
         assert stat.S_IMODE(new.stat().st_mode) == 0o644
         assert stat.S_IMODE(existing.stat().st_mode) == 0o640
         assert existing.read_text() == new.read_text()
+
+    def test_out_writes_through_a_symlink(self, tmp_path, capsys):
+        # as open(path, "w") would: the target gets the bytes, the link stays
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target.name)
+        dangling, dangling_target = tmp_path / "dangling.csv", tmp_path / "sub" / "new.csv"
+        dangling_target.parent.mkdir()
+        dangling.symlink_to(dangling_target)
+        for path in (link, dangling):
+            code, _, _ = run_cli(["star", "--kmax", "2", "--out", str(path)], capsys)
+            assert code == 0
+        code, expected, _ = run_cli(["star", "--kmax", "2"], capsys)
+        assert code == 0
+        assert link.is_symlink() and dangling.is_symlink()
+        assert target.read_text() == dangling_target.read_text() == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "dangling.csv", "link.csv", "sub", "target.csv"
+        ]
+        assert [p.name for p in dangling_target.parent.iterdir()] == ["new.csv"]

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from logmeans import ExponentSchedule, Gauge, GrowthFit, HerglotzSpec, MeansProfile, SparseSeries
-from logmeans.caratheodory import ByConstruction, ByImaginaryBound, Herglotz, LacunaryExp
+import logmeans
+from logmeans import ExponentSchedule, Gauge, GrowthFit, MeansProfile
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SOURCES = sorted((SRC / "logmeans").glob("*.py"))
@@ -33,6 +33,21 @@ def imported_modules(path):
 
 def test_sources_found():
     assert len(SOURCES) >= 10
+
+
+def test_all_lists_exactly_the_package_imports():
+    # a stale __all__ entry breaks `from logmeans import *`; an unlisted
+    # import is a public name the star import drops
+    tree = ast.parse((SRC / "logmeans" / "__init__.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert sorted(logmeans.__all__) == sorted(n for n in imported if n[0] != "_")
+    namespace = {}
+    exec("from logmeans import *", namespace)
+    assert all(namespace[name] is getattr(logmeans, name) for name in logmeans.__all__)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
@@ -142,20 +157,11 @@ def test_start_up_loads_no_dataclasses_typing_or_tempfile():
     assert proc.stdout.split(maxsplit=1) == ["0", "[[], []]\n"]
 
 
-SPEC = HerglotzSpec([(7.0, 0.5), (1.0, 2)], im_p0=-1)
-SPEC_REPR = "HerglotzSpec(atoms=((0.7168146928204138, 0.5), (1.0, 2.0)), im_p0=-1.0)"
-SERIES = SparseSeries([(3, 0.5j)])
-
 # (value, its repr, its field values): each frozen value type's repr text,
 # and its hash and equality, which are those of its field values.
 VALUES = [
     (GrowthFit(1.5, -0.25, 1e-3), "GrowthFit(slope=1.5, intercept=-0.25, residual=0.001)",
      (1.5, -0.25, 1e-3)),
-    (SPEC, SPEC_REPR, (((7.0 - 2 * math.pi, 0.5), (1.0, 2.0)), -1.0)),
-    (ByConstruction(), "ByConstruction()", ()),
-    (ByImaginaryBound(0.75), "ByImaginaryBound(bound=0.75)", (0.75,)),
-    (Herglotz(SPEC), f"Herglotz(spec={SPEC_REPR})", (SPEC,)),
-    (LacunaryExp(SERIES), "LacunaryExp(series=SparseSeries(1 terms, degree=3))", (SERIES,)),
     (Gauge(1.9), "Gauge(a=1.9, b=0.0)", (1.9, 0.0)),
     (ExponentSchedule((2, 5, 17)), "ExponentSchedule(n_k=(2, 5, 17))", ((2, 5, 17),)),
     (MeansProfile((0.5, 0.75), (1.0, 2.5), (0.0, math.inf)),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logmeans import HerglotzSpec, from_herglotz, geometric_radii
+from logmeans import Herglotz, geometric_radii
 from logmeans.cli import MAX_TRUNC
 from logmeans.numerics import exact_sum
 
@@ -160,8 +160,8 @@ def test_exact_sum_dense_sites_match_the_fsum_formula(seed, degree):
         (float(t), float(w))
         for t, w in zip(rng.uniform(0.0, 2.0 * math.pi, 3), rng.uniform(0.1, 2.0, 3))
     )
-    spec = HerglotzSpec(atoms, im_p0=float(rng.uniform(-1.0, 1.0)))
-    series = from_herglotz(spec).log_taylor(degree)
+    p = Herglotz(atoms, im_p0=float(rng.uniform(-1.0, 1.0)))
+    series = p.log_taylor(degree)
     assert series.h2_sum() == old_h2_sum(series)
     for r in DEFAULT_RADII:
         s = -math.log(r)

@@ -68,7 +68,7 @@ class TestBuildStar:
         assert coeffs == [0.5j, 0.125j, pytest.approx(1j / 18)]
 
     def test_certificate_bound(self):
-        bound = build_p_star(30).certificate.bound
+        bound = build_p_star(30).bound
         assert bound == pytest.approx(0.5 * sum(1.0 / k ** 2 for k in range(1, 31)))
         assert bound < PI ** 2 / 12
 
@@ -235,7 +235,7 @@ class TestBuildPhi:
     def test_certificate_partial_zeta(self):
         schedule = choose_schedule(Gauge(1.0), 10)
         p = build_p_phi(schedule)
-        assert p.certificate.bound == pytest.approx(
+        assert p.bound == pytest.approx(
             0.5 * sum(1.0 / k ** 2 for k in range(1, 11))
         )
 

@@ -8,13 +8,12 @@ import pytest
 
 from logmeans import (
     DenseSeries,
-    HerglotzSpec,
+    Herglotz,
+    LacunaryExp,
     MeansProfile,
     RadiusOutOfRange,
     SparseSeries,
     UNIFORM_CONSTANT,
-    from_herglotz,
-    from_lacunary,
     geometric_radii,
     little_o_check,
     mobius,
@@ -66,7 +65,7 @@ class TestParseval:
             parseval_means(f, [0.5, 0.5])
 
     def test_monotone_in_radius(self):
-        p = from_herglotz(HerglotzSpec([(0.4, 0.8), (2.2, 1.3)]))
+        p = Herglotz([(0.4, 0.8), (2.2, 1.3)])
         profile = parseval_means(p.log_taylor(256), geometric_radii(0.3, 0.5, 12))
         assert all(a <= b for a, b in zip(profile.values, profile.values[1:]))
 
@@ -106,12 +105,12 @@ class TestQuadrature:
         assert quad[0] == pytest.approx(pv.values[0], rel=1e-12)
 
     def test_constant_function(self):
-        p = from_lacunary(SparseSeries([]))
+        p = LacunaryExp(SparseSeries([]))
         quad = quadrature_means(p.log_taylor(8), [0.3, 0.6], 64)
         assert quad == (0.0, 0.0)
 
     def test_herglotz_two_atom(self):
-        p = from_herglotz(HerglotzSpec([(0.0, 0.5), (math.pi, 0.5)]))
+        p = Herglotz([(0.0, 0.5), (math.pi, 0.5)])
         quad = quadrature_means(p.log_taylor(512), [0.5], 1025)
         pv = parseval_means(p.log_taylor(512), [0.5])
         assert quad[0] == pytest.approx(pv.values[0], rel=1e-10)
