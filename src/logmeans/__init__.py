@@ -25,7 +25,6 @@ from .errors import (
     GaugeHypothesisError,
     ImaginaryBoundViolated,
     InvalidMeasure,
-    NearZeroConstantTerm,
     ParseError,
     RadiusOutOfRange,
     ToolkitError,
@@ -49,12 +48,7 @@ from .means import (
     quadrature_means,
     tail_bound,
 )
-from .series import (
-    DenseSeries,
-    SparseSeries,
-    exp_series,
-    log_series,
-)
+from .series import DenseSeries, SparseSeries
 from .specs import parse_function_spec
 
 __all__ = [
@@ -72,7 +66,6 @@ __all__ = [
     "InvalidMeasure",
     "LacunaryExp",
     "MeansProfile",
-    "NearZeroConstantTerm",
     "ParseError",
     "RadiusOutOfRange",
     "Report",
@@ -84,12 +77,10 @@ __all__ = [
     "choose_schedule",
     "corollary_report",
     "critical_radii_star",
-    "exp_series",
     "fit_exponent",
     "gauge_sweep",
     "geometric_radii",
     "little_o_check",
-    "log_series",
     "mobius",
     "parse_function_spec",
     "parseval_means",

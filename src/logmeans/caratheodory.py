@@ -98,11 +98,14 @@ class Herglotz(CaratheodoryFunction):
         })
 
     def _merged_atoms(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct atom angles, sorted, and the summed weight at each."""
+        """The distinct atom angles, sorted, and the summed weight at each,
+        less those whose weight / mass is 0.0: their pole and zero coincide."""
         import numpy as np
         thetas, weights = np.array(self.atoms).T
         angles, index = np.unique(thetas, return_inverse=True)
-        return angles, np.bincount(index, weights=weights)
+        weights = np.bincount(index, weights=weights)
+        keep = weights / weights.sum() > 0.0
+        return angles[keep], weights[keep]
 
     def boundary_zeros(self) -> np.ndarray:
         """Angles psi_j of the zeros of p, one on the arc that follows each
@@ -125,10 +128,13 @@ class Herglotz(CaratheodoryFunction):
             inside = (lo < mid) & (mid < hi)
             if not inside.any():
                 return np.where(g_lo <= -g_hi, lo, hi)
-            g = c + np.concatenate([
-                (1.0 / np.tan(0.5 * (mid[i:i + BLOCK, None] - thetas))) @ weights
-                for i in range(0, mid.size, BLOCK)
-            ])
+            # 1/tan overflows to the right limit at subnormal offsets from an
+            # atom, and divides by zero at a converged mid that inside masks
+            with np.errstate(divide="ignore", over="ignore"):
+                g = c + np.concatenate([
+                    (1.0 / np.tan(0.5 * (mid[i:i + BLOCK, None] - thetas))) @ weights
+                    for i in range(0, mid.size, BLOCK)
+                ])
             up = inside & (g > 0.0)
             down = inside & ~up
             lo, g_lo = np.where(up, mid, lo), np.where(up, g, g_lo)

@@ -44,7 +44,7 @@ H2_CEILING = math.pi ** 2 / 2.0
 MAX_TRUNC = 2 ** 16
 
 # Most atoms in a kernel-sum spec: finding the zeros of p costs O(J^2) per
-# bisection step (log_taylor(2048) takes about 4 s at J = 2000).
+# bisection step (log_taylor(2048): about 2 s at J = 2000 on two CPUs).
 MAX_ATOMS = 2 ** 10
 
 # Most radii in a grid: each costs one FFT, and geometric grids collapse onto
@@ -57,8 +57,8 @@ MAX_RADII = 2 ** 10
 # per bit of n_k and dominates near the ceiling (pow:1.999: 1 min at 64).
 MAX_KMAX = 2 ** 10
 
-# Largest log-coefficient degree means materializes densely for its
-# quadrature columns; sparse exponents past it get the coefficient route only.
+# means prints the quadrature columns only while the log-coefficients stop
+# at this degree; its dense array is built at --trunc either way.
 MAX_QUADRATURE_DEGREE = 2 ** 20
 
 

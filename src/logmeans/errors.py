@@ -13,10 +13,6 @@ class ToolkitError(Exception):
         return type(self).__name__
 
 
-class NearZeroConstantTerm(ToolkitError):
-    """Logarithm requested for a series whose constant term is (near) zero."""
-
-
 class InvalidMeasure(ToolkitError):
     """Atomic boundary measure with a nonpositive weight."""
 
@@ -34,8 +30,8 @@ class RadiusOutOfRange(ToolkitError):
 
 
 class ExponentOverflow(ToolkitError):
-    """Requested exponent is too large: a dyadic exponent past the supported
-    integer width, or a schedule exponent past the size cap."""
+    """Requested exponent is too large: a dyadic index past MAX_STAR_INDEX,
+    or a schedule exponent past the size cap."""
 
 
 class GaugeHypothesisError(ToolkitError):

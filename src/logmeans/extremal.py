@@ -41,7 +41,9 @@ from .series import SparseSeries
 # Means floor coefficient along the adapted radii: pi * e^-2 / 2.
 FLOOR_COEFF = math.pi * math.exp(-2.0) / 2.0
 
-MAX_STAR_INDEX = 62  # exponent 2^k must fit a 64-bit signed width
+# Largest dyadic index, a chosen limit: SparseSeries holds any exponent, and
+# star_sweep's 4.0 ** (k - 1) first raises OverflowError at k = 513.
+MAX_STAR_INDEX = 62
 
 # Schedule exponents stop at 2^MAX_SCHEDULE_BITS: a 94,548-bit schedule
 # (powlog:2,1 at k=4) already takes about 5 s, and the cost grows with the
@@ -65,11 +67,6 @@ class Gauge(namedtuple("Gauge", "a b")):
     def satisfies_hypothesis(self) -> bool:
         """True when the gauge vanishes relative to (1-r)^-2 as r -> 1."""
         return self.a < 2.0 or (self.a == 2.0 and self.b > 0.0)
-
-    def value(self, r: float) -> float:
-        if not (0.0 < r < 1.0):
-            raise RadiusOutOfRange(f"radius {r!r} not in (0, 1)")
-        return self.value_from_gap(1.0 - r)
 
     def value_from_gap(self, gap: float) -> float:
         """Gauge value expressed through gap = 1 - r (accurate near r = 1)."""
@@ -109,9 +106,6 @@ class ExponentSchedule(namedtuple("ExponentSchedule", "n_k")):
                 raise ValueError("schedule must be strictly increasing")
             prev = n
         return super().__new__(cls, n_k)
-
-    def __len__(self) -> int:
-        return len(self.n_k)
 
 
 def _log_gauge_at_inv_n(phi: Gauge, n: int) -> float:

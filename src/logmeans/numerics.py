@@ -95,15 +95,14 @@ def neglog_gap_from_inv_n(n: int) -> float:
     """-log(1 - exp(-1/n)) for an integer n >= 1, accurate at every scale.
 
     For moderate n the gap 1 - exp(-1/n) is computed directly with expm1.
-    For huge n, n*(1 - exp(-1/n)) = 1 - 1/(2n) + O(1/n^2), so the result is
-    log(n) plus a vanishing correction; log(n) handles big integers natively.
+    Past 10^15 the result is log(n) + 1/(2n) + O(1/n^2), and 1/(2n) < 5e-16
+    is under half an ulp of log(n) > 34.5, so it is math.log(n) to the bit.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n <= 10 ** 15:
         return -math.log(-math.expm1(-1.0 / n))
-    half_inv = float_ratio(1, 2 * n)  # underflows to 0.0 for astronomical n
-    return math.log(n) - math.log1p(-half_inv)
+    return math.log(n)
 
 
 def gap_from_inv_n(n: int) -> float:

@@ -20,7 +20,6 @@ from logmeans import (
     InvalidMeasure,
     LacunaryExp,
     SparseSeries,
-    log_series,
     mobius,
     parse_function_spec,
 )
@@ -197,7 +196,7 @@ class TestHerglotzLogCoefficients:
         # Taylor coefficients of p: b_n = 2 * sum_j w_j * zeta_j^-n
         taylor = 2.0 * caratheodory._power_sums(*p._merged_atoms(), degree)
         taylor[0] = p.total_mass + 1j * p.im_p0
-        recurrence = log_series(DenseSeries(taylor)).coeffs
+        recurrence = series.log_series(DenseSeries(taylor)).coeffs
         closed_err = max(n * abs(closed[n] - oracle[n]) for n in ns) / scale
         recurrence_err = max(n * abs(recurrence[n] - oracle[n]) for n in ns) / scale
         assert closed_err <= recurrence_err

@@ -8,6 +8,7 @@ import math
 import os
 import stat
 import sys
+import warnings
 
 import mpmath
 import pytest
@@ -272,6 +273,39 @@ class TestH2Command:
         row = doc["rows"][0]
         assert row["h2_sum"] < row["ceiling"] == pytest.approx(math.pi ** 2 / 2)
         assert_json_keys_are_csv_header(["h2", "--spec", MOBIUS], capsys)
+
+
+def json_rows_without_warnings(argv, capsys):
+    """Rows of a JSON run that must exit 0 with empty stderr, with every
+    warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv + ["--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    return json.loads(out)["rows"]
+
+
+@pytest.mark.parametrize("exponent", [160, 300])
+@pytest.mark.parametrize(
+    "command", [["h2"], ["means", "--radii", "geometric:0.5,0.5,8"]], ids=["h2", "means"]
+)
+def test_negligible_atom_runs_without_warnings(exponent, command, capsys):
+    # The atom of weight 1e-exponent has its pole and zero at the same
+    # double.  Bisecting toward it once overflowed 1/tan, and a weight that
+    # underflows against the mass gave 0 * inf = nan.
+    big = {"theta": 1.0, "weight": 10.0 ** exponent}
+    tiny = {"theta": 0.0, "weight": 10.0 ** -exponent}
+    got, want = (
+        json_rows_without_warnings(
+            command + ["--trunc", "64", "--spec", json.dumps({"type": "herglotz", "atoms": atoms})],
+            capsys,
+        )
+        for atoms in ([tiny, big], [big])
+    )
+    assert [list(row) for row in got] == [list(row) for row in want]
+    for row, expected in zip(got, want):
+        for key, value in row.items():
+            assert value == pytest.approx(expected[key], rel=1e-14, abs=0.0)
 
 
 class TestStarCommand:

@@ -39,7 +39,7 @@ STAR_RATIO_HIGH = 31.0
 def oracle_admissible(phi, n, k):
     """Independent admissibility predicate: gauge(e^(-1/n)) <= n^2/k^8."""
     r = math.exp(-1.0 / n)
-    return phi.value(r) <= (n * n) / (k ** 8)
+    return phi.value_from_gap(1.0 - r) <= (n * n) / (k ** 8)
 
 
 def oracle_schedule(phi, k_max, scan_limit=100_000):
@@ -212,7 +212,7 @@ class TestScheduleRegression:
     def test_admissible_and_minimal_mpmath(self, gauge, k_max):
         phi = Gauge.from_string(gauge)
         schedule = choose_schedule(phi, k_max)
-        assert len(schedule) == k_max
+        assert len(schedule.n_k) == k_max
         prev = 0
         for k, n in enumerate(schedule.n_k, start=1):
             assert mp_log_margin(phi, n, k) >= -FLOAT_DECISION_SLACK

@@ -1,14 +1,15 @@
 """float_product, the one place a float scale meets an integer of any size,
 against 50-digit mpmath, and the two means sites that call it across its
-1000-bit switch."""
+1000-bit switch; neglog_gap_from_inv_n against the same oracle."""
 
 import math
+import random
 
 import mpmath
 import pytest
 
 from logmeans import SparseSeries, tail_bound
-from logmeans.numerics import LOG_MAX, float_product
+from logmeans.numerics import LOG_MAX, float_product, neglog_gap_from_inv_n
 
 EPS = 2.0 ** -52
 SCALES = [1e-300, 2.0 ** -62, 1e-16, 0.5, 745.0]
@@ -158,3 +159,17 @@ def test_sparse_parseval_after_the_power_underflows():
     # 2es is about 1071 here: r^(2e) underflows, the terms are near e^314
     want, rel = parseval_oracle(STRADDLE, 1e-298)
     assert close(SparseSeries(STRADDLE).parseval_value(1e-298), want, rel)
+
+
+# neglog_gap_from_inv_n on both sides of its switch at 10^15, past the
+# double range, and at seeded random sizes up to 4,000 bits
+GAP_INTEGERS = [
+    1, 2, 10, 10 ** 15 - 1, 10 ** 15, 10 ** 15 + 1,
+    2 ** 53, 10 ** 150, 2 ** 1024, 2 ** 1100, 3 ** 2863,
+] + [random.Random(bits).getrandbits(bits) | 1 << (bits - 1) for bits in range(40, 4001, 120)]
+
+
+@pytest.mark.parametrize("n", GAP_INTEGERS, ids=lambda n: f"{n.bit_length()}bits")
+def test_neglog_gap_against_mpmath(n):
+    want = float(-mpmath.log(-mpmath.expm1(-1 / mpmath.mpf(n))))
+    assert close(neglog_gap_from_inv_n(n), want, 2 * EPS)
