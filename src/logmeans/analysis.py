@@ -22,12 +22,7 @@ from collections.abc import Sequence
 
 from .caratheodory import CaratheodoryFunction
 from .errors import DegenerateProfile
-from .extremal import (
-    FLOOR_COEFF,
-    Gauge,
-    critical_radii_star,
-    ratio_at_schedule,
-)
+from .extremal import Gauge, critical_radii_star, ratio_at_schedule
 from .jsonio import dumps_canonical
 from .means import MeansProfile, geometric_radii, parseval_means
 
@@ -178,11 +173,11 @@ def corollary_report(
         }
         # (iii) gauge divergence floors for schedule-built members
         if p.schedule is not None:
-            for k, ratio in enumerate(ratio_at_schedule(p, phi), start=1):
-                floor = FLOOR_COEFF * float(k) ** 4
+            for row in ratio_at_schedule(p, phi):
+                k, ratio, floor = row["k"], row["ratio"], row["floor"]
                 floor_pass = floor_pass and ratio >= floor * (1.0 - 1e-10)
                 floor_rows.append(
-                    {"member": label, "k": k, "ratio_to_floor": ratio / floor}
+                    {"member": label, "k": k, "ratio_to_floor": row["ratio_to_floor"]}
                 )
         # (iv) is measured on the first dyadic extremal member
         if star is None and p.spec_dict.get("type") == "theorem2_star":

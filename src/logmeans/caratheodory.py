@@ -118,8 +118,9 @@ class Herglotz(CaratheodoryFunction):
         """
         import numpy as np
         thetas, weights = self._merged_atoms()
-        mass = weights.sum()  # the zeros do not depend on the scale
-        weights, c = weights / mass, self.im_p0 / mass
+        # any scale gives the same zeros; this one keeps c finite at any mass
+        scale = max(weights.sum(), abs(self.im_p0))
+        weights, c = weights / scale, self.im_p0 / scale
         lo = thetas.copy()
         hi = np.append(thetas[1:], thetas[0] + 2.0 * math.pi)
         g_lo, g_hi = np.full(lo.size, np.inf), np.full(lo.size, -np.inf)

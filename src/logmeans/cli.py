@@ -35,7 +35,7 @@ from .extremal import (
 )
 from .jsonio import atomic_write_text, dumps_canonical, format_float, int_str
 from .means import geometric_radii, parseval_means, quadrature_means
-from .specs import decode_spec, integer_field, parse_function_spec
+from .specs import parse_function_spec
 
 H2_CEILING = math.pi ** 2 / 2.0
 
@@ -51,14 +51,9 @@ MAX_ATOMS = 2 ** 10
 # 1.0 within 53/log2(1/factor) points anyway.
 MAX_RADII = 2 ** 10
 
-# Largest gauge-schedule index (gauge --kmax, report --kmax-gauge, a
-# theorem3_gauge spec's k_max): the ratio sweep costs O(k^2), about 2 s at
-# 1024 for pow:1.  It does not bound the schedule search, which steps once
-# per bit of n_k and dominates near the ceiling (pow:1.999: 1 min at 64).
-MAX_KMAX = 2 ** 10
-
 # means prints the quadrature columns only while the log-coefficients stop
-# at this degree; its dense array is built at --trunc either way.
+# at this degree; past it, it builds no dense array (and a sparse spec loads
+# no numpy).
 MAX_QUADRATURE_DEGREE = 2 ** 20
 
 
@@ -106,12 +101,7 @@ def _load_spec(text: str) -> CaratheodoryFunction:
                 text = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read spec file {text[1:]!r}: {exc}") from None
-    spec = decode_spec(text)
-    if isinstance(spec, dict) and spec.get("type") == "theorem3_gauge":
-        if "k_max" in spec:  # capped before parse_function_spec searches
-            k_max = integer_field(spec["k_max"], "k_max")
-            _capped(k_max, MAX_KMAX, "a theorem3_gauge spec's k_max")
-    p = parse_function_spec(spec)
+    p = parse_function_spec(text)
     atoms = len(p.spec_dict.get("atoms", ()))
     if atoms > MAX_ATOMS:
         raise ParseError(f"a kernel sum takes at most {MAX_ATOMS} atoms, got {atoms}")
@@ -146,7 +136,6 @@ def _cmd_means(args) -> str:
     trunc = _capped(args.trunc, MAX_TRUNC, "--trunc")
     p = _load_spec(args.spec)
     radii = _parse_radii_spec(args.radii)
-    dense = p.log_taylor(trunc)  # computes the coefficients log_coeffs reuses
     a = p.log_coeffs(trunc)
     profile = parseval_means(a, radii)
     rows = [
@@ -157,6 +146,7 @@ def _cmd_means(args) -> str:
         # smallest power of two >= trunc+1: exact, and a fast FFT length.
         # Lacunary terms past trunc are dropped here, not in the Parseval
         # column, so quad_rel_err then measures them, not the routes.
+        dense = p.log_taylor(trunc)  # from the cached coefficients
         quad = quadrature_means(dense, radii, 1 << trunc.bit_length())
         for row, value in zip(rows, quad):
             err = abs(value - row["I_parseval"]) / max(row["I_parseval"], 1e-30)
@@ -185,7 +175,7 @@ def _cmd_star(args) -> str:
 
 def _cmd_gauge(args) -> str:
     phi = Gauge.from_string(args.phi)
-    _, rows = gauge_sweep(phi, _capped(args.kmax, MAX_KMAX, "--kmax"))
+    _, rows = gauge_sweep(phi, _at_least(args.kmax, 1, "--kmax"))
     spec = {"type": "theorem3_gauge", "gauge": phi.label(), "k_max": args.kmax}
     return _render(args, rows, spec)
 
@@ -208,7 +198,7 @@ def _cmd_report(args) -> str:
         raise ParseError(f"--constant must be finite, got {args.constant!r}")
     phi = Gauge.from_string(args.gauge)
     _at_least(args.kmax_star, 1, "--kmax-star")
-    _capped(args.kmax_gauge, MAX_KMAX, "--kmax-gauge")
+    _at_least(args.kmax_gauge, 1, "--kmax-gauge")
     suite = canonical_suite(phi, args.kmax_star, args.kmax_gauge)
     report = corollary_report(suite, phi, constant=args.constant)
     return report.to_json()

@@ -31,7 +31,8 @@ class RadiusOutOfRange(ToolkitError):
 
 class ExponentOverflow(ToolkitError):
     """Requested exponent is too large: a dyadic index past MAX_STAR_INDEX,
-    or a schedule exponent past the size cap."""
+    a schedule index past MAX_KMAX, or a schedule exponent past the size
+    cap."""
 
 
 class GaugeHypothesisError(ToolkitError):

@@ -7,7 +7,9 @@ every power gauge below the ceiling.
 choose_schedule / build_p_phi generalize the construction to an arbitrary
 gauge that vanishes relative to the ceiling: exponents n_k are chosen
 minimally with gauge(exp(-1/n_k)) <= n_k^2 / k^8, which forces the means to
-overtake the gauge by a factor k^4 along exp(-1/n_k).
+overtake the gauge by a factor k^4 along exp(-1/n_k); ratio_at_schedule
+returns the rows that check it.  The caps MAX_STAR_INDEX, MAX_KMAX and
+MAX_SCHEDULE_BITS raise ExponentOverflow before any work.
 
 For every gauge that satisfies the hypothesis the admissibility margin
 h(n) = 2 log n - 8 log k - log gauge(exp(-1/n)) is strictly increasing in n.
@@ -49,6 +51,11 @@ MAX_STAR_INDEX = 62
 # (powlog:2,1 at k=4) already takes about 5 s, and the cost grows with the
 # square of the size.
 MAX_SCHEDULE_BITS = 2 ** 17
+
+# Largest schedule index: the ratio sweep costs O(k^2), about 2 s at 1024
+# for pow:1.  It does not bound the schedule search, which steps once per
+# bit of n_k and dominates near the ceiling (pow:1.999: 1 min at 64).
+MAX_KMAX = 2 ** 10
 
 
 class Gauge(namedtuple("Gauge", "a b")):
@@ -140,15 +147,17 @@ def choose_schedule(phi: Gauge, k_max: int) -> ExponentSchedule:
     module docstring).  Deterministic for fixed inputs.  Raises
     GaugeHypothesisError when the gauge violates the required decay.
 
-    Raises ExponentOverflow, before any search, when no exponent below
-    2^MAX_SCHEDULE_BITS can be admissible at k_max.  The check is exact: for
-    n < 2^B, L(n) = -log(1 - exp(-1/n)) <= log n + log 2 < (B+1) log 2, and
-    since log n < L(n), admissibility at k implies
+    Raises ExponentOverflow, before any search, when k_max > MAX_KMAX or
+    when no exponent below 2^MAX_SCHEDULE_BITS can be admissible at k_max.
+    The latter is exact: for n < 2^B, L(n) = -log(1 - exp(-1/n)) <= log(2n)
+    < (B+1) log 2, and since log n < L(n), admissibility at k implies
     (2-a) L(n) + b log1p(L(n)) > 8 log k, whose left side increases with L.
     The required size grows with k, so checking k_max covers every index.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    if k_max > MAX_KMAX:
+        raise ExponentOverflow(f"k_max = {k_max} is past the index cap {MAX_KMAX}")
     if not phi.satisfies_hypothesis:
         raise GaugeHypothesisError(
             f"gauge {phi.label()} does not vanish relative to the quadratic "
@@ -220,23 +229,27 @@ def build_p_phi(
     return LacunaryExp(SparseSeries(terms), spec_dict, schedule)
 
 
-def ratio_at_schedule(p: CaratheodoryFunction, phi: Gauge) -> list[float]:
-    """means/gauge at the exact adapted radii exp(-1/n_k) of the schedule p
-    was built on.
+def ratio_at_schedule(p: CaratheodoryFunction, phi: Gauge) -> list[dict]:
+    """One row per index k of the schedule p was built on: k, n_k, the
+    ratio means/gauge at the exact adapted radius exp(-1/n_k), the floor
+    FLOOR_COEFF * k^4 that Theorem 3 puts under it, and ratio / floor.
 
-    Both sides are evaluated in log space from the exact integers, so a
-    ratio is meaningful even when means and gauge separately overflow every
-    float; a ratio whose log reaches LOG_MAX saturates to +inf."""
+    Both sides of the ratio are evaluated in log space from the exact
+    integers, so it is meaningful even when means and gauge separately
+    overflow every float; a ratio whose log reaches LOG_MAX saturates to
+    +inf."""
     if p.schedule is None:
         raise ValueError("schedule ratios need a schedule-built function")
     f = p.log_coeffs(max(p.schedule.n_k, default=0))
-    out = []
-    for n in p.schedule.n_k:
-        ln_means = parseval_log_value_at_inv_n(f, n)
-        ln_gauge = _log_gauge_at_inv_n(phi, n)
-        d = ln_means - ln_gauge
-        out.append(math.exp(d) if d < LOG_MAX else math.inf)
-    return out
+    rows = []
+    for k, n in enumerate(p.schedule.n_k, start=1):
+        d = parseval_log_value_at_inv_n(f, n) - _log_gauge_at_inv_n(phi, n)
+        ratio = math.exp(d) if d < LOG_MAX else math.inf
+        floor = FLOOR_COEFF * float(k) ** 4
+        rows.append(
+            dict(k=k, n_k=n, ratio=ratio, floor=floor, ratio_to_floor=ratio / floor)
+        )
+    return rows
 
 
 def star_sweep(k_max: int) -> list[dict]:
@@ -264,20 +277,6 @@ def star_sweep(k_max: int) -> list[dict]:
 
 
 def gauge_sweep(phi: Gauge, k_max: int) -> tuple[ExponentSchedule, list[dict]]:
-    """Schedule plus per-index ratios means/gauge against the k^4 floor."""
+    """Schedule plus its ratio_at_schedule rows against the k^4 floor."""
     schedule = choose_schedule(phi, k_max)
-    p = build_p_phi(schedule)
-    ratios = ratio_at_schedule(p, phi)
-    rows = []
-    for k, (n, ratio) in enumerate(zip(schedule.n_k, ratios), start=1):
-        floor = FLOOR_COEFF * float(k) ** 4
-        rows.append(
-            {
-                "k": k,
-                "n_k": n,
-                "ratio": ratio,
-                "floor": floor,
-                "ratio_to_floor": ratio / floor,
-            }
-        )
-    return schedule, rows
+    return schedule, ratio_at_schedule(build_p_phi(schedule), phi)

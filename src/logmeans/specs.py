@@ -12,7 +12,8 @@ mobius and herglotz specs build a caratheodory.Herglotz, the others a
 caratheodory.LacunaryExp.  Every function is built with its spec dict,
 which it carries on .spec_dict, so emitted specs re-parse to an equivalent
 function.  Integer fields (exponent, k_max) take JSON integers or integral
-floats such as 4.0 only.
+floats such as 4.0 only; number fields (theta, weight, im_p0, re, im) take
+JSON numbers only, not strings or booleans.
 """
 
 from __future__ import annotations
@@ -33,6 +34,13 @@ def integer_field(value, name: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ParseError(f"{name} must be an integer, got {value!r}")
+
+
+def number_field(value, name: str) -> float:
+    """value as a float if it is a JSON number (not a bool); else ParseError."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ParseError(f"{name} must be a number, got {value!r}")
 
 
 def decode_spec(text: str):
@@ -57,15 +65,18 @@ def parse_function_spec(spec: str | dict) -> CaratheodoryFunction:
             return mobius()
         if kind == "herglotz":
             atoms = [
-                (float(a["theta"]), float(a["weight"]))
+                (number_field(a["theta"], "theta"), number_field(a["weight"], "weight"))
                 for a in spec.get("atoms", [])
             ]
-            return Herglotz(atoms, float(spec.get("im_p0", 0.0)))
+            return Herglotz(atoms, number_field(spec.get("im_p0", 0.0), "im_p0"))
         if kind == "lacunary":
             terms = [
                 (
                     integer_field(t["exponent"], "exponent"),
-                    complex(float(t.get("re", 0.0)), float(t.get("im", 0.0))),
+                    complex(
+                        number_field(t.get("re", 0.0), "re"),
+                        number_field(t.get("im", 0.0), "im"),
+                    ),
                 )
                 for t in spec.get("terms", [])
             ]

@@ -231,6 +231,31 @@ class TestHerglotzLogCoefficients:
         assert np.all(thetas < psi)
         assert np.all(psi[:-1] < thetas[1:]) and psi[-1] < thetas[0] + 2 * math.pi
 
+    def test_h2_sum_against_closed_form(self):
+        """On the circle a kernel sum is purely imaginary, so Im log p is
+        +-pi/2 there and sum_{n>=1} |a_n|^2 = 2*alpha*(pi - alpha) with
+        alpha = atan2(mass, |im_p0|).  As |n*a_n| <= 2J for J atoms, the
+        sum to N falls short of it by at most 4J^2/N.  The bound is too
+        loose to see the ulp-level error of the zeros at large
+        |im_p0| / mass (ROADMAP item 2), whose gate keeps its own mpmath
+        oracle."""
+        rng = random.Random(12)
+        for _ in range(200):
+            # drawn as the herglotz-means benchmark draws its kernel sums
+            atoms = min(int(math.exp(rng.uniform(0.0, math.log(65.0)))), 64)
+            p = Herglotz(
+                [
+                    (rng.uniform(0.0, 2.0 * math.pi), math.exp(rng.uniform(-2.3, 2.3)))
+                    for _ in range(atoms)
+                ],
+                rng.uniform(-1.0, 1.0),
+            )
+            alpha = math.atan2(p.total_mass, abs(p.im_p0))
+            exact = 2.0 * alpha * (math.pi - alpha)
+            for n in (64, 256, 1024, 4096):
+                gap = exact - p.log_coeffs(n).h2_sum()
+                assert -1e-12 * exact <= gap <= 4.0 * atoms * atoms / n
+
     def test_never_runs_the_recurrence(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("log_series called")

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from logmeans import geometric_radii, parse_function_spec, quadrature_means
 from logmeans.cli import (
     MAX_ATOMS,
-    MAX_KMAX,
     MAX_QUADRATURE_DEGREE,
     MAX_RADII,
     MAX_TRUNC,
@@ -26,6 +25,7 @@ from logmeans.cli import (
     main,
 )
 from logmeans.errors import ParseError
+from logmeans.extremal import MAX_KMAX
 from logmeans.jsonio import format_float, int_str
 from logmeans.specs import decode_spec
 
@@ -308,6 +308,29 @@ def test_negligible_atom_runs_without_warnings(exponent, command, capsys):
             assert value == pytest.approx(expected[key], rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize(
+    "atoms, im_p0",
+    [
+        ([(0.0, 1e-320)], 1.0),
+        ([(0.0, 1e-320), (2.0, 3e-321)], -1.0),
+        ([(0.0, 1e-300)], 1e300),
+    ],
+    ids=["1e-320", "two-subnormal", "1e-300-vs-1e300"],
+)
+@pytest.mark.parametrize(
+    "command", [["h2"], ["means", "--radii", "geometric:0.5,0.5,8"]], ids=["h2", "means"]
+)
+def test_mass_far_below_im_p0_runs_without_warnings(atoms, im_p0, command, capsys):
+    # Scaling the zero equation by the mass alone overflowed im_p0 / mass.
+    spec = {
+        "type": "herglotz",
+        "atoms": [{"theta": t, "weight": w} for t, w in atoms],
+        "im_p0": im_p0,
+    }
+    argv = command + ["--trunc", "64", "--spec", json.dumps(spec)]
+    json_rows_without_warnings(argv, capsys)
+
+
 class TestStarCommand:
     def test_rows_respect_floor(self, capsys):
         code, out, _ = run_cli(["star", "--kmax", "12", "--format", "json"], capsys)
@@ -379,6 +402,20 @@ class TestGaugeCommand:
         assert code == 2
         assert json.loads(err)["error"]["name"] == "ExponentOverflow"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gauge", "--phi", "pow:1", "--kmax", "1025"],
+            ["report", "--kmax-gauge", "1025"],
+            ["h2", "--spec", '{"type":"theorem3_gauge","gauge":"pow:1","k_max":1025}'],
+        ],
+        ids=["gauge", "report", "spec"],
+    )
+    def test_index_cap_error(self, argv, capsys):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert json.loads(err)["error"]["name"] == "ExponentOverflow"
+
 
 MALFORMED_ARGV = [
     ["means", "--spec", "@missing-spec.json"],
@@ -441,6 +478,11 @@ MALFORMED_ARGV = [
     ["h2", "--spec", '{"type":"theorem3_gauge","gauge":"pow:1","k_max":"3"}'],
     ["h2", "--spec", TOO_DEEP],
     ["h2", "--spec", TOO_MANY_DIGITS],
+    ["h2", "--spec", '{"type":"herglotz","atoms":[{"theta":"0.5","weight":1}]}'],
+    ["h2", "--spec", '{"type":"herglotz","atoms":[{"theta":0.5,"weight":true}]}'],
+    ["h2", "--spec", '{"type":"herglotz","atoms":[{"theta":0.5,"weight":1}],"im_p0":"1"}'],
+    ["h2", "--spec", '{"type":"lacunary","terms":[{"exponent":3,"re":"0.1"}]}'],
+    ["h2", "--spec", '{"type":"lacunary","terms":[{"exponent":3,"im":false}]}'],
 ]
 
 

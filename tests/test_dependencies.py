@@ -115,9 +115,10 @@ LACUNARY = {
         (["gauge", "--phi", "pow:1.99", "--kmax", "6"], False),
         (["h2", "--spec", '{"type":"theorem2_star","k_max":30}'], False),
         (["h2", "--spec", json.dumps(LACUNARY)], False),
+        (["means", "--spec", '{"type":"theorem2_star","k_max":30}'], False),
         (["h2", "--spec", '{"type":"mobius"}'], True),  # control: dense work
     ],
-    ids=["import", "star", "gauge", "h2-star", "h2-lacunary", "h2-mobius"],
+    ids=["import", "star", "gauge", "h2-star", "h2-lacunary", "means-star", "h2-mobius"],
 )
 def test_numpy_loaded_only_for_dense_work(argv, loads_numpy):
     env = dict(os.environ, PYTHONPATH=str(SRC))

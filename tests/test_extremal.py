@@ -26,6 +26,8 @@ from logmeans import (
     ratio_at_schedule,
     star_sweep,
 )
+from logmeans import extremal
+from logmeans.extremal import FLOOR_COEFF, MAX_KMAX
 
 PI = math.pi
 
@@ -159,6 +161,14 @@ class TestChooseSchedule:
                 choose_schedule(phi, k_max)
             assert time.perf_counter() - start < 1.0
 
+    def test_index_cap_fails_before_search(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("schedule search ran")
+
+        monkeypatch.setattr(extremal, "_admissible", refuse)
+        with pytest.raises(ExponentOverflow):
+            choose_schedule(Gauge(1.999), MAX_KMAX + 1)
+
     def test_determinism(self):
         a = choose_schedule(Gauge(1.9), 6)
         b = choose_schedule(Gauge(1.9), 6)
@@ -271,6 +281,18 @@ class TestRatios:
         schedule, rows = gauge_sweep(Gauge(2.0, 2.0), 12)
         for row in rows:
             assert row["ratio"] >= row["floor"] * (1.0 - 1e-10)
+
+    def test_ratio_rows(self):
+        phi = Gauge(1.0)
+        schedule = choose_schedule(phi, 4)
+        rows = ratio_at_schedule(build_p_phi(schedule), phi)
+        assert [list(row) for row in rows] == [
+            ["k", "n_k", "ratio", "floor", "ratio_to_floor"]
+        ] * 4
+        for k, (n, row) in enumerate(zip(schedule.n_k, rows), start=1):
+            assert (row["k"], row["n_k"]) == (k, n)
+            assert row["floor"] == FLOOR_COEFF * k ** 4
+            assert row["ratio_to_floor"] == row["ratio"] / row["floor"]
 
     def test_ratio_at_schedule_requires_sparse(self):
         with pytest.raises(ValueError):
