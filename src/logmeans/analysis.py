@@ -109,10 +109,6 @@ class Report:
         )
 
 
-def _member_label(index: int, p: CaratheodoryFunction) -> str:
-    return f"{index}:{p.spec_dict.get('type', 'unknown')}"
-
-
 def _decreasing_or_zero(tail: Sequence[float]) -> bool:
     if all(v <= ZERO_LEVEL for v in tail):
         return True
@@ -141,48 +137,35 @@ def corollary_report(
         raise ValueError("suite must be nonempty")
     grid = geometric_radii(0.5, 0.5, 20)
     report = Report(gauge=phi.label(), constant=constant)
-    worst = -math.inf
-    witness_label = ""
-    witness_radius = 0.0
+    # Records per member; each part's verdict is one expression over them.
+    # Part (i)'s seed stands when no radius has a finite tail.
+    candidates = [(-math.inf, "", 0.0)]
     members = {}
-    all_pass = True
     floor_rows = []
-    floor_pass = True
-    star = None
     for index, p in enumerate(suite):
-        label = _member_label(index, p)
+        label = f"{index}:{p.spec_dict.get('type', 'unknown')}"
         profile = parseval_means(p.log_coeffs(TRUNC_DEGREE), grid)
         normalized = little_o_check(profile)
-        # (i) uniform bound with the explicit constant
-        for r, value, tail in zip(grid, normalized, profile.tail_bounds):
-            excess = value - tail if math.isfinite(tail) else -math.inf
-            if excess > worst:
-                worst = excess
-                witness_label = label
-                witness_radius = r
-        # (ii) per-function little-o trend
+        candidates.extend(
+            (value - tail, label, r)
+            for r, value, tail in zip(grid, normalized, profile.tail_bounds)
+            if math.isfinite(tail)
+        )
         horizon = validity_horizon(profile)
         usable = normalized[:horizon] if horizon >= 3 else normalized
         window = usable[-TREND_POINTS:]
-        ok = _decreasing_or_zero(window)
-        all_pass = all_pass and ok
         members[label] = {
-            "pass": ok,
+            "pass": _decreasing_or_zero(window),
             "final_value": window[-1] if window else 0.0,
             "tail_valid_points": horizon,
         }
-        # (iii) gauge divergence floors for schedule-built members
         if p.schedule is not None:
-            for row in ratio_at_schedule(p, phi):
-                k, ratio, floor = row["k"], row["ratio"], row["floor"]
-                floor_pass = floor_pass and ratio >= floor * (1.0 - 1e-10)
-                floor_rows.append(
-                    {"member": label, "k": k, "ratio_to_floor": row["ratio_to_floor"]}
-                )
-        # (iv) is measured on the first dyadic extremal member
-        if star is None and p.spec_dict.get("type") == "theorem2_star":
-            star = (label, p)
+            floor_rows.extend((label, row) for row in ratio_at_schedule(p, phi))
+    not_applicable = {"status": "not_applicable", "pass": None}
 
+    # (i) uniform bound with the explicit constant; max keeps the first of
+    # equal excesses, so a tie leaves the witness at the earlier member
+    worst, witness_label, witness_radius = max(candidates, key=lambda c: c[0])
     report.parts["uniform_bound"] = {
         "status": "ok",
         "pass": worst <= constant,
@@ -190,33 +173,39 @@ def corollary_report(
         "witness_function": witness_label,
         "witness_radius": witness_radius,
     }
+    # (ii) per-function little-o trend
     report.parts["little_o"] = {
         "status": "ok",
-        "pass": all_pass,
+        "pass": all(member["pass"] for member in members.values()),
         "members": members,
     }
+    # (iii) gauge divergence floors for schedule-built members
     if floor_rows:
         report.parts["gauge_divergence"] = {
             "status": "ok",
-            "pass": floor_pass,
-            "margin": min(row["ratio_to_floor"] for row in floor_rows) - 1.0,
-            "floors": floor_rows,
+            "pass": all(
+                row["ratio"] >= row["floor"] * (1.0 - 1e-10) for _, row in floor_rows
+            ),
+            "margin": min(row["ratio_to_floor"] for _, row in floor_rows) - 1.0,
+            "floors": [
+                dict(member=label, k=row["k"], ratio_to_floor=row["ratio_to_floor"])
+                for label, row in floor_rows
+            ],
         }
     else:
-        report.parts["gauge_divergence"] = {
-            "status": "not_applicable",
-            "pass": None,
-        }
+        report.parts["gauge_divergence"] = dict(not_applicable)
 
-    # (iv) least exponent via the dyadic extremal member
-    k_max = min(star[1].spec_dict["k_max"], 53) if star else 0
+    # (iv) least exponent via the first dyadic extremal (members keeps order)
+    stars = [
+        (label, p)
+        for label, p in zip(members, suite)
+        if p.spec_dict.get("type") == "theorem2_star"
+    ]
+    k_max = min(stars[0][1].spec_dict["k_max"], 53) if stars else 0
     if k_max < 5:
-        report.parts["least_exponent"] = {
-            "status": "not_applicable",
-            "pass": None,
-        }
+        report.parts["least_exponent"] = dict(not_applicable)
     else:
-        label, p = star
+        label, p = stars[0]
         hi = max(k_max - 5, 3)
         lo = max(hi - 10, 1)
         star_radii = critical_radii_star(k_max)[lo - 1 : hi]

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import sys
 
 
@@ -78,20 +79,29 @@ def dumps_canonical(obj: object) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the same directory, then rename into place,
-    where and with the mode open(path, "w") would: through any symlink to
-    its target (a dangling one creates it), an existing file keeping its
-    permission bits, a new one getting 0o666 less the umask."""
+    """Write where and as open(path, "w") would, through any symlink to its
+    target (a dangling one creates it).  A regular or new file is replaced
+    by a temp file renamed into place, an existing one keeping its permission
+    bits, a new one getting 0o666 less the umask; a FIFO, device or other
+    non-regular file is written in place."""
     import tempfile  # only file output pays for it
-    path = os.path.realpath(path)
     try:
-        mode = os.stat(path).st_mode & 0o7777
+        # the path as given: /dev/stdout on a pipe resolves to no file name
+        info = os.stat(path)
     except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
         mode = 0o666 & ~umask
-    directory = os.path.dirname(path)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    else:
+        if not stat.S_ISREG(info.st_mode):
+            with open(path, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+            return
+        mode = info.st_mode & 0o7777
+    path = os.path.realpath(path)
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(path), prefix=".tmp-", suffix=".part"
+    )
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)

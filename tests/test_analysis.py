@@ -1,5 +1,6 @@
 """Growth fitting, normalized-decay sequences, and the optimality report."""
 
+import hashlib
 import math
 
 import pytest
@@ -17,11 +18,44 @@ from logmeans import (
     fit_exponent,
     little_o_check,
     mobius,
+    parse_function_spec,
     parseval_means,
     validity_horizon,
 )
 
 PI = math.pi
+
+# SHA-256 of the report text under Gauge(1.5) on suites the golden report
+# does not reach.  Never regenerated: a new digest is a changed report.
+EDGE_SUITES = {
+    # no radius has a finite tail
+    "no_finite_tail": (
+        lambda: [LacunaryExp(SparseSeries([]))],
+        "b657eeb5b29d23c97df90f48e4423ff27e3e648b9cab31109439164e88cdce67",
+    ),
+    # two members tie on part (i)
+    "tie": (
+        lambda: [mobius(), mobius()],
+        "b9a4eda88756d96dc189ba4690b4c19702cd87aa1a200b59c89d9027ab4642fe",
+    ),
+    # parts (iii) and (iv) not applicable
+    "short_star": (
+        lambda: [build_p_star(4)],
+        "e7ea5a7bc71d7c3e1e6edce64b66bbf74bae9cad00e55c847ba9140f8fb13031",
+    ),
+    "gauge_member": (
+        lambda: [
+            parse_function_spec(
+                {"type": "theorem3_gauge", "gauge": "pow:1.5", "k_max": 3}
+            )
+        ],
+        "b97c5f8793e00a3e9eff5e43f9f1e88d7b19a08d907570f351ef6ab002e45be6",
+    ),
+    "star_and_mobius": (
+        lambda: [build_p_star(30), mobius()],
+        "8428cdece8412c581957b885fe0a40924b064222da97393f420912a307510fb9",
+    ),
+}
 
 
 def synthetic_profile(beta, c=3.0, count=12):
@@ -136,3 +170,18 @@ class TestCorollaryReport:
     def test_empty_suite_rejected(self):
         with pytest.raises(ValueError):
             corollary_report([], Gauge(1.0))
+
+    @pytest.mark.parametrize("name", list(EDGE_SUITES))
+    def test_edge_suite_digest(self, name):
+        build, digest = EDGE_SUITES[name]
+        text = corollary_report(build(), Gauge(1.5)).to_json()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    def test_witness_without_finite_tail_and_on_a_tie(self):
+        suite = [LacunaryExp(SparseSeries([]))]
+        part = corollary_report(suite, Gauge(1.5)).parts["uniform_bound"]
+        assert (part["witness_function"], part["witness_radius"]) == ("", 0.0)
+        assert part["margin"] == math.inf
+        # the first of equal excesses stays the witness
+        part = corollary_report([mobius(), mobius()], Gauge(1.5)).parts["uniform_bound"]
+        assert part["witness_function"] == "0:mobius"

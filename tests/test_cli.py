@@ -853,3 +853,20 @@ class TestOutputContract:
             "dangling.csv", "link.csv", "sub", "target.csv"
         ]
         assert [p.name for p in dangling_target.parent.iterdir()] == ["new.csv"]
+
+    def test_out_writes_into_a_fifo(self, tmp_path, capsys):
+        # as open(path, "w") would: the reader gets the bytes, the FIFO stays;
+        # the read end is opened first, without blocking, so the write does
+        # not wait for a reader
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, _, _ = run_cli(["star", "--kmax", "2", "--out", str(fifo)], capsys)
+            received = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        stdout_code, expected, _ = run_cli(["star", "--kmax", "2"], capsys)
+        assert code == stdout_code == 0
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert received == expected.encode("utf-8")
