@@ -10,8 +10,6 @@ from .analysis import (
     UNIFORM_CONSTANT,
     corollary_report,
     fit_exponent,
-    little_o_check,
-    validity_horizon,
 )
 from .caratheodory import (
     CaratheodoryFunction,
@@ -80,7 +78,6 @@ __all__ = [
     "fit_exponent",
     "gauge_sweep",
     "geometric_radii",
-    "little_o_check",
     "mobius",
     "parse_function_spec",
     "parseval_means",
@@ -88,5 +85,4 @@ __all__ = [
     "ratio_at_schedule",
     "star_sweep",
     "tail_bound",
-    "validity_horizon",
 ]

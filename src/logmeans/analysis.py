@@ -4,14 +4,11 @@ fit_exponent estimates the effective exponent beta in means ~ (1-r)^-beta by
 least squares of log(means) against log(1/(1-r)); the worst log-residual
 is part of the result, never hidden.
 
-little_o_check returns the normalized sequence (1-r)^2 * means, whose decay
-toward 0 is the per-function refinement of the class-wide quadratic bound.
-The trend is only meaningful while the truncation tail stays below the
-measured value; validity_horizon reports how far that holds.
-
 corollary_report bundles the four optimality checks (uniform constant,
 per-function decay, gauge divergence, least exponent) into a deterministic,
-JSON-serializable report.
+JSON-serializable report.  Per-function decay, the refinement
+(1-r)^2 * means -> 0 of the class-wide quadratic bound, is checked against
+the closed-form bound each construction states (decay_bound).
 """
 
 from __future__ import annotations
@@ -29,13 +26,15 @@ from .means import MeansProfile, geometric_radii, parseval_means
 # Explicit constant of the class-wide quadratic bound: pi^3 * e^-2.
 UNIFORM_CONSTANT = math.pi ** 3 * math.exp(-2.0)
 
-ZERO_LEVEL = 1e-30  # below this a means value is treated as exactly zero
-
-# Report settings: part (iv) slope thresholds, dense truncation degree, and
-# the number of trailing grid points whose decay part (ii) checks.
+# Report settings: part (iv) slope thresholds and dense truncation degree.
 THRESHOLDS = (0.5, 1.0, 1.5)
 TRUNC_DEGREE = 2048
-TREND_POINTS = 5
+
+# Relative slack of part (ii): a few ulp of rounding of normal doubles each
+# in the computed (1-r)^2 * means (its terms, their correctly rounded sum,
+# the factor) and in the decay bound, which the lacunary value approaches as
+# e*(1-r) -> 0.
+DECAY_SLACK = 1e-12
 
 
 class GrowthFit(namedtuple("GrowthFit", "slope intercept residual")):
@@ -70,27 +69,6 @@ def fit_exponent(profile: MeansProfile) -> GrowthFit:
     return GrowthFit(slope, intercept, residual)
 
 
-def little_o_check(profile: MeansProfile) -> list[float]:
-    """The normalized sequence (1 - r_j)^2 * means_j."""
-    return [
-        (1.0 - r) ** 2 * v for r, v in zip(profile.radii, profile.values)
-    ]
-
-
-def validity_horizon(profile: MeansProfile) -> int:
-    """Number of leading grid points whose tail bound stays below the value.
-
-    Beyond the horizon the profile reflects the truncation more than the
-    function, so trend statements should not extrapolate past it.
-    """
-    count = 0
-    for value, tail in zip(profile.values, profile.tail_bounds):
-        if tail > value and value > ZERO_LEVEL:
-            break
-        count += 1
-    return count
-
-
 class Report:
     """Four-part optimality report; serialization is byte-deterministic."""
 
@@ -109,12 +87,6 @@ class Report:
         )
 
 
-def _decreasing_or_zero(tail: Sequence[float]) -> bool:
-    if all(v <= ZERO_LEVEL for v in tail):
-        return True
-    return all(a > b for a, b in zip(tail, tail[1:]))
-
-
 def corollary_report(
     suite: Sequence[CaratheodoryFunction],
     phi: Gauge,
@@ -126,8 +98,8 @@ def corollary_report(
 
     (i)   uniform bound: (1-r)^2 * means - tail <= constant over the whole
           suite and radius grid;
-    (ii)  per-function decay of (1-r)^2 * means over the trailing grid
-          points within each profile's validity horizon;
+    (ii)  per-function decay: at every grid radius (1-r)^2 * means is at
+          most the member's decay_bound, within DECAY_SLACK;
     (iii) gauge divergence floor ratio >= (pi*e^-2/2)*k^4 for every
           schedule-built member (not applicable when the suite has none);
     (iv)  fitted growth exponent of the dyadic extremal member above every
@@ -145,19 +117,18 @@ def corollary_report(
     for index, p in enumerate(suite):
         label = f"{index}:{p.spec_dict.get('type', 'unknown')}"
         profile = parseval_means(p.log_coeffs(TRUNC_DEGREE), grid)
-        normalized = little_o_check(profile)
+        normalized = [(1.0 - r) ** 2 * v for r, v in zip(grid, profile.values)]
         candidates.extend(
             (value - tail, label, r)
             for r, value, tail in zip(grid, normalized, profile.tail_bounds)
             if math.isfinite(tail)
         )
-        horizon = validity_horizon(profile)
-        usable = normalized[:horizon] if horizon >= 3 else normalized
-        window = usable[-TREND_POINTS:]
+        pairs = [(v, p.decay_bound(r)) for r, v in zip(grid, normalized)]
         members[label] = {
-            "pass": _decreasing_or_zero(window),
-            "final_value": window[-1] if window else 0.0,
-            "tail_valid_points": horizon,
+            "pass": all(v <= b * (1.0 + DECAY_SLACK) for v, b in pairs),
+            "rate": p.decay_rate,
+            "bound": pairs[-1][1],
+            "max_ratio": max((v / b for v, b in pairs if b > 0.0), default=0.0),
         }
         if p.schedule is not None:
             floor_rows.extend((label, row) for row in ratio_at_schedule(p, phi))
@@ -173,7 +144,7 @@ def corollary_report(
         "witness_function": witness_label,
         "witness_radius": witness_radius,
     }
-    # (ii) per-function little-o trend
+    # (ii) per-function decay under each member's closed-form bound
     report.parts["little_o"] = {
         "status": "ok",
         "pass": all(member["pass"] for member in members.values()),

@@ -10,6 +10,9 @@ answers its log-coefficients in their exact form:
 * LacunaryExp: p = exp(F) for a sparse F whose coefficient magnitudes sum
   to B < pi/2, so |Im F| <= B and Re p = e^{Re F} * cos(Im F) > 0.
 
+Each also bounds (1-r)^2 times its quadratic means I(r) in closed form,
+with no coefficients (decay_bound), falling like (1-r)^decay_rate.
+
 Only Herglotz computes with numpy, and it imports numpy in its methods.
 """
 
@@ -20,7 +23,9 @@ import math
 from collections.abc import Sequence
 
 from .errors import ImaginaryBoundViolated, InvalidMeasure
+from .numerics import float_product
 from .series import (
+    TWO_PI,
     DenseSeries,
     SparseSeries,
     log_series,  # unused here; perfbench/tracing.py patches this name
@@ -72,6 +77,8 @@ class Herglotz(CaratheodoryFunction):
     the zeros cost O(J^2) per bisection step.
     """
 
+    decay_rate = 1
+
     def __init__(self, atoms: Sequence[tuple[float, float]], im_p0: float = 0.0):
         if len(atoms) == 0:
             raise InvalidMeasure("at least one atom required")
@@ -96,6 +103,12 @@ class Herglotz(CaratheodoryFunction):
             "atoms": [{"theta": t, "weight": w} for t, w in norm],
             "im_p0": im_p0,
         })
+
+    def decay_bound(self, r: float) -> float:
+        """8*pi*J^2*(1-r)*r^2/(1+r) for J distinct atom angles: |n*a_n| <= 2J,
+        so I(r) <= 8*pi*J^2 * r^2/(1-r^2)."""
+        j = len({t for t, _ in self.atoms})
+        return 8.0 * math.pi * j * j * (1.0 - r) * r * r / (1.0 + r)
 
     def _merged_atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct atom angles, sorted, and the summed weight at each,
@@ -185,6 +198,8 @@ class LacunaryExp(CaratheodoryFunction):
     ImaginaryBoundViolated.  Builders of named families pass their own spec,
     and their schedule."""
 
+    decay_rate = 2
+
     def __init__(
         self, series: SparseSeries, spec_dict: dict | None = None, schedule=None
     ):
@@ -200,6 +215,16 @@ class LacunaryExp(CaratheodoryFunction):
             spec_dict = {"type": "lacunary", "terms": terms}
         super().__init__(spec_dict)
         self.series, self.bound, self.schedule = series, bound, schedule
+
+    def decay_bound(self, r: float) -> float:
+        """2*pi * sum |c|^2 * min(exp(-2), t^2) over the terms, t = e*(1-r):
+        r^(2e) <= exp(-2t) and t^2 * exp(-2t) <= exp(-2).  Each term is
+        squared last, so no factor underflows alone."""
+        gap = 1.0 - r
+        return TWO_PI * math.fsum(
+            (abs(c) * min(math.exp(-1.0), float_product(gap, e))) ** 2
+            for e, c in self.series.terms
+        )
 
     def _log_coeffs(self, degree: int) -> SparseSeries:
         return self.series

@@ -20,7 +20,6 @@ from logmeans import (
     critical_radii_star,
     fit_exponent,
     gauge_sweep,
-    little_o_check,
     mobius,
     parseval_means,
     quadrature_means,
@@ -118,8 +117,8 @@ def test_criterion_04_uniform_bound(certified_suite, dyadic_grid):
     for p in certified_suite:
         f = p.log_coeffs(2048)
         profile = parseval_means(f, dyadic_grid)
-        for normalized, tail in zip(little_o_check(profile), profile.tail_bounds):
-            excess = normalized - tail if math.isfinite(tail) else -math.inf
+        for r, v, tail in zip(dyadic_grid, profile.values, profile.tail_bounds):
+            excess = (1 - r) ** 2 * v - tail if math.isfinite(tail) else -math.inf
             worst = max(worst, excess)
     elapsed = time.perf_counter() - t0
     ok = worst <= UNIFORM_CONSTANT and elapsed < budget
@@ -138,7 +137,7 @@ def test_criterion_05_little_o_for_mobius(dyadic_grid):
     budget = 1.0
     t0 = time.perf_counter()
     profile = parseval_means(mobius().log_taylor(2 ** 17), dyadic_grid)
-    seq = little_o_check(profile)
+    seq = [(1 - r) ** 2 * v for r, v in zip(dyadic_grid, profile.values)]
     decreasing = all(a > b for a, b in zip(seq, seq[1:]))
     final = seq[-1]
     elapsed = time.perf_counter() - t0

@@ -1,13 +1,20 @@
-"""Growth fitting, normalized-decay sequences, and the optimality report."""
+"""Growth fitting, normalized-decay sequences, the constructions' decay
+bounds, and the optimality report."""
 
+import cmath
 import hashlib
+import json
 import math
+import random
+from pathlib import Path
 
 import pytest
 
 from logmeans import (
     DegenerateProfile,
+    DenseSeries,
     Gauge,
+    Herglotz,
     LacunaryExp,
     MeansProfile,
     SparseSeries,
@@ -16,14 +23,24 @@ from logmeans import (
     corollary_report,
     critical_radii_star,
     fit_exponent,
-    little_o_check,
     mobius,
     parse_function_spec,
     parseval_means,
-    validity_horizon,
+)
+from logmeans.analysis import DECAY_SLACK
+from logmeans.cli import canonical_suite
+from oracles import (
+    kernel_decay_bound,
+    kernel_means,
+    lacunary_decay_bound,
+    parseval_oracle,
 )
 
 PI = math.pi
+GOLDEN_REPORT = Path(__file__).resolve().parent / "golden" / "report.json"
+
+# 20 radii 1 - 2^-j, j = 1, 3, ..., 39
+DEEP_RADII = [1.0 - 2.0 ** -j for j in range(1, 40, 2)]
 
 # SHA-256 of the report text under Gauge(1.5) on suites the golden report
 # does not reach.  Never regenerated: a new digest is a changed report.
@@ -31,17 +48,17 @@ EDGE_SUITES = {
     # no radius has a finite tail
     "no_finite_tail": (
         lambda: [LacunaryExp(SparseSeries([]))],
-        "b657eeb5b29d23c97df90f48e4423ff27e3e648b9cab31109439164e88cdce67",
+        "fe5f65ef870c4b514d97763f1ca249d1d1be819def255d973fe39edb260a54a0",
     ),
     # two members tie on part (i)
     "tie": (
         lambda: [mobius(), mobius()],
-        "b9a4eda88756d96dc189ba4690b4c19702cd87aa1a200b59c89d9027ab4642fe",
+        "139afc84b0edfcb0407ddc5f23204056d05188fcacef5ac9abccaa03fa390146",
     ),
     # parts (iii) and (iv) not applicable
     "short_star": (
         lambda: [build_p_star(4)],
-        "e7ea5a7bc71d7c3e1e6edce64b66bbf74bae9cad00e55c847ba9140f8fb13031",
+        "2579c1bb0c1e6ce7d0a43ce4dd4f65fd284181db62f6de6d258f17871af6680a",
     ),
     "gauge_member": (
         lambda: [
@@ -49,11 +66,11 @@ EDGE_SUITES = {
                 {"type": "theorem3_gauge", "gauge": "pow:1.5", "k_max": 3}
             )
         ],
-        "b97c5f8793e00a3e9eff5e43f9f1e88d7b19a08d907570f351ef6ab002e45be6",
+        "076b2e838882547b7001d741159a33b45d188ec8026844b965f412d08da162fd",
     ),
     "star_and_mobius": (
         lambda: [build_p_star(30), mobius()],
-        "8428cdece8412c581957b885fe0a40924b064222da97393f420912a307510fb9",
+        "705a69260bf6e4b30a96920623e289794c59e7dbd2572acc8df7777e47ef337c",
     ),
 }
 
@@ -98,7 +115,7 @@ class TestFitExponent:
 class TestLittleO:
     def test_mobius_closed_form_algebra(self, dyadic_grid):
         profile = parseval_means(mobius().log_taylor(2 ** 17), dyadic_grid)
-        seq = little_o_check(profile)
+        seq = [(1 - r) ** 2 * v for r, v in zip(dyadic_grid, profile.values)]
         for r, value in zip(dyadic_grid, seq):
             full = (1 - r) ** 2 * 8 * PI * r * r / (1 - r ** 4)
             assert value <= full * (1 + 1e-12)
@@ -106,25 +123,83 @@ class TestLittleO:
         assert all(a > b for a, b in zip(seq, seq[1:]))
         assert seq[-1] < 1e-4
 
-    def test_constant_function(self):
-        p = LacunaryExp(SparseSeries([]))
-        profile = parseval_means(p.log_taylor(8), [0.3, 0.6, 0.9])
-        assert little_o_check(profile) == [0.0, 0.0, 0.0]
-
     def test_truncated_star_eventually_decreases(self):
         p = build_p_star(20)
         radii = [1.0 - 2.0 ** -j for j in range(1, 31)]
         profile = parseval_means(p.log_coeffs(2 ** 20), radii)
-        seq = little_o_check(profile)
+        seq = [(1 - r) ** 2 * v for r, v in zip(radii, profile.values)]
         tail = seq[-6:]
         assert all(a > b for a, b in zip(tail, tail[1:]))
 
-    def test_validity_horizon(self, dyadic_grid):
-        # dense truncation at N = 2048 certifies radii with gap >> 1/N only
-        profile = parseval_means(mobius().log_taylor(2048), dyadic_grid)
-        horizon = validity_horizon(profile)
-        assert 3 <= horizon < len(dyadic_grid)
-        assert profile.tail_bounds[horizon] > profile.values[horizon]
+
+class TestDecayBound:
+    """Each construction's closed-form bound on (1-r)^2 * means holds for the
+    40-digit means and for the computed ones, and agrees with its formula at
+    40 digits."""
+
+    def test_kernel_sums(self):
+        rng = random.Random(26)
+        for _ in range(200):
+            p = Herglotz(
+                [
+                    (rng.uniform(0.0, 2.0 * PI), math.exp(rng.uniform(-2.3, 2.3)))
+                    for _ in range(rng.randint(1, 4))
+                ],
+                rng.uniform(-1.0, 1.0),
+            )
+            exact = [float(v) for v in kernel_means(p, DEEP_RADII)]
+            computed = parseval_means(p.log_coeffs(256), DEEP_RADII).values
+            # at r = 1/2 the truncation past degree 256 is below 2^-500
+            assert math.isclose(computed[0], exact[0], rel_tol=1e-13)
+            for r, x, v in zip(DEEP_RADII, exact, computed):
+                bound = p.decay_bound(r)
+                want = float(kernel_decay_bound(p.atoms, r))
+                assert math.isclose(bound, want, rel_tol=1e-14)
+                assert (1 - r) ** 2 * x <= bound * (1 + DECAY_SLACK)
+                assert (1 - r) ** 2 * v <= bound * (1 + DECAY_SLACK)
+
+    def test_lacunary_series(self):
+        rng = random.Random(27)
+        for _ in range(200):
+            count = rng.randint(1, 6)
+            exponents = sorted({int(2.0 ** rng.uniform(0.0, 60.0)) for _ in range(count)})
+            sizes = [rng.random() for _ in exponents]
+            scale = rng.uniform(0.05, 1.5) / sum(sizes)
+            terms = [
+                (e, cmath.rect(scale * m, rng.uniform(0.0, 2.0 * PI)))
+                for e, m in zip(exponents, sizes)
+            ]
+            p = LacunaryExp(SparseSeries(terms))
+            computed = parseval_means(p.series, DEEP_RADII).values
+            for r, v in zip(DEEP_RADII, computed):
+                exact, rel = parseval_oracle(p.series.terms, -math.log(r))
+                # a few of the smallest subnormals where the terms underflow
+                assert abs(v - exact) <= rel * exact + 4 * 5e-324
+                bound = p.decay_bound(r)
+                want = float(lacunary_decay_bound(p.series.terms, r))
+                assert math.isclose(bound, want, rel_tol=1e-14)
+                assert (1 - r) ** 2 * exact <= bound * (1 + DECAY_SLACK)
+                assert (1 - r) ** 2 * v <= bound * (1 + DECAY_SLACK)
+
+    def test_golden_report_bounds(self):
+        # the golden report is the report command's defaults
+        members = json.loads(GOLDEN_REPORT.read_text())["parts"]["little_o"]["members"]
+        r = 1.0 - 2.0 ** -20  # the last radius of the report's grid
+        for member, p in zip(members.values(), canonical_suite(Gauge(1.9), 25, 12)):
+            if isinstance(p, Herglotz):
+                want = kernel_decay_bound(p.atoms, r)
+            else:
+                want = lacunary_decay_bound(p.series.terms, r)
+            assert math.isclose(member["bound"], float(want), rel_tol=1e-14)
+
+
+class TripledA1(Herglotz):
+    """A kernel sum whose a_1 is wrong by a factor 3."""
+
+    def _log_coeffs(self, degree):
+        coeffs = super()._log_coeffs(degree).coeffs.copy()
+        coeffs[1] *= 3
+        return DenseSeries(coeffs)
 
 
 class TestCorollaryReport:
@@ -160,6 +235,17 @@ class TestCorollaryReport:
         # the witness is found by the sweep, not assumed
         assert part["witness_function"]
         assert 0 < part["witness_radius"] < 1
+
+    def test_wrong_coefficient_fails_part_ii(self):
+        # Mobius with a_1 = 6: its normalized means still fall from r = 1/2,
+        # but 2*pi*36*r^2 alone passes 8*pi*r^2/(1-r^2) there
+        atoms = [(0.0, 1.0)]
+        part = corollary_report([Herglotz(atoms), TripledA1(atoms)], Gauge(1.5)).parts
+        members = part["little_o"]["members"]
+        assert part["little_o"]["pass"] is False
+        assert members["0:herglotz"]["pass"] is True
+        assert members["1:herglotz"]["pass"] is False
+        assert members["1:herglotz"]["max_ratio"] > 1.0
 
     def test_report_deterministic(self, certified_suite):
         phi = Gauge(1.9)

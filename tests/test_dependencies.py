@@ -131,6 +131,27 @@ def test_numpy_loaded_only_for_dense_work(argv, loads_numpy):
     assert proc.stdout.split() == ["0", str(loads_numpy)]
 
 
+# The report on sparse members only: the star runs part (iv) and the gauge
+# member part (iii), and neither member's decay bound needs numpy.
+REPORT_CHILD = """
+import sys
+from logmeans import Gauge, build_p_star, corollary_report, parse_function_spec
+gauge = parse_function_spec({"type": "theorem3_gauge", "gauge": "pow:1.5", "k_max": 3})
+parts = corollary_report([build_p_star(8), gauge], Gauge(1.5)).parts
+print([parts[name]["status"] for name in parts], "numpy" in sys.modules)
+"""
+
+
+def test_sparse_report_loads_no_numpy():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", REPORT_CHILD],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['ok', 'ok', 'ok', 'ok'] False\n"
+
+
 # Standard modules a start-up must not load: neither the value types nor
 # the annotations need dataclasses (which imports inspect) or typing, and
 # only file output needs tempfile.

@@ -15,7 +15,6 @@ from logmeans import (
     SparseSeries,
     UNIFORM_CONSTANT,
     geometric_radii,
-    little_o_check,
     mobius,
     parseval_means,
     quadrature_means,
@@ -158,10 +157,8 @@ class TestClassBounds:
         for p in certified_suite:
             f = p.log_coeffs(2048)
             profile = parseval_means(f, dyadic_grid)
-            for value, normalized, tail in zip(
-                profile.values, little_o_check(profile), profile.tail_bounds
-            ):
-                assert normalized <= UNIFORM_CONSTANT + tail
+            for r, value, tail in zip(dyadic_grid, profile.values, profile.tail_bounds):
+                assert (1 - r) ** 2 * value <= UNIFORM_CONSTANT + tail
 
     def test_per_term_bound(self):
         # (1-r)^2 n^2 r^(2n) <= e^-2 everywhere

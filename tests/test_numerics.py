@@ -10,8 +10,8 @@ import pytest
 
 from logmeans import SparseSeries, tail_bound
 from logmeans.numerics import LOG_MAX, float_product, neglog_gap_from_inv_n
+from oracles import EPS, PRODUCT_REL, parseval_oracle
 
-EPS = 2.0 ** -52
 SCALES = [1e-300, 2.0 ** -62, 1e-16, 0.5, 745.0]
 INTEGERS = [1, 2 ** 53 + 1, 2 ** 999, 2 ** 1000, 2 ** 1001, 2 ** 1023, 3 ** 2863]
 
@@ -20,12 +20,6 @@ INTEGERS = [1, 2 ** 53 + 1, 2 ** 999, 2 ** 1000, 2 ** 1001, 2 ** 1023, 3 ** 2863
 def fifty_digits():
     with mpmath.workdps(50):
         yield
-
-
-# Relative error bound of float_product: one rounding of e and one of the
-# product up to 1000 bits; past that e is cut to its 53-bit head, off by
-# under one ulp, and the product is rounded once.
-PRODUCT_REL = 4 * EPS
 
 
 def close(got, want, rel):
@@ -94,23 +88,6 @@ def test_tail_bound_across_the_switch(trunc_degree, s):
 
 
 STRADDLE = [(2 ** 999 - 1, 0.3 + 0.1j), (2 ** 999 + 1, 0.5j)]
-
-
-def parseval_oracle(terms, s):
-    """(2 pi sum e^2 |c|^2 exp(-2es) at 50 digits, relative tolerance)."""
-    want = 2 * mpmath.pi * mpmath.fsum(
-        mpmath.mpf(e) ** 2 * abs(mpmath.mpc(c)) ** 2 * mpmath.exp(-2 * e * mpmath.mpf(s))
-        for e, c in terms
-    )
-    # exp(-x) scales the relative error of x = 2es by x; forming each term
-    # in log space adds a few ulp of 2 log e + x, and of 2 log|c| where
-    # |c|^2 is below the normal range and the term takes that log instead
-    rel = 0.0
-    for e, c in terms:
-        x = float(2 * e * mpmath.mpf(s))
-        log_c2 = 2 * abs(math.log(abs(c))) if abs(c) ** 2 < 2.0 ** -1022 else 0.0
-        rel = max(rel, x * PRODUCT_REL + 8 * EPS * (2 * math.log(e) + x + 4 + log_c2))
-    return float(want), rel
 
 
 # at 6.5e-299 both terms are finite and nonzero, near e^687
