@@ -36,6 +36,13 @@ TRUNC_DEGREE = 2048
 # e*(1-r) -> 0.
 DECAY_SLACK = 1e-12
 
+# Absolute slack of part (ii) per stored term.  Below 2^-1022 a rounding
+# errs by up to 2^-1075 absolutely: each sparse means term (rounded once
+# from the log domain), their fsum, the products by 2*pi and (1-r)^2 <= 1/4;
+# each squared lacunary decay-bound term, their fsum, the product by 2*pi.
+# Scaled by at most 2*pi these stay under 9 * 2^-1074 per term.
+SUBNORMAL_SLACK = 9 * 2.0 ** -1074
+
 
 class GrowthFit(namedtuple("GrowthFit", "slope intercept residual")):
     """Fitted growth exponent over a means profile."""
@@ -99,7 +106,8 @@ def corollary_report(
     (i)   uniform bound: (1-r)^2 * means - tail <= constant over the whole
           suite and radius grid;
     (ii)  per-function decay: at every grid radius (1-r)^2 * means is at
-          most the member's decay_bound, within DECAY_SLACK;
+          most the member's decay_bound, within DECAY_SLACK and
+          SUBNORMAL_SLACK per stored term;
     (iii) gauge divergence floor ratio >= (pi*e^-2/2)*k^4 for every
           schedule-built member (not applicable when the suite has none);
     (iv)  fitted growth exponent of the dyadic extremal member above every
@@ -116,7 +124,8 @@ def corollary_report(
     floor_rows = []
     for index, p in enumerate(suite):
         label = f"{index}:{p.spec_dict.get('type', 'unknown')}"
-        profile = parseval_means(p.log_coeffs(TRUNC_DEGREE), grid)
+        a = p.log_coeffs(TRUNC_DEGREE)
+        profile = parseval_means(a, grid)
         normalized = [(1.0 - r) ** 2 * v for r, v in zip(grid, profile.values)]
         candidates.extend(
             (value - tail, label, r)
@@ -124,8 +133,9 @@ def corollary_report(
             if math.isfinite(tail)
         )
         pairs = [(v, p.decay_bound(r)) for r, v in zip(grid, normalized)]
+        tiny = SUBNORMAL_SLACK * a.term_count
         members[label] = {
-            "pass": all(v <= b * (1.0 + DECAY_SLACK) for v, b in pairs),
+            "pass": all(v <= b * (1.0 + DECAY_SLACK) + tiny for v, b in pairs),
             "rate": p.decay_rate,
             "bound": pairs[-1][1],
             "max_ratio": max((v / b for v, b in pairs if b > 0.0), default=0.0),

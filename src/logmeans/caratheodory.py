@@ -67,7 +67,7 @@ class CaratheodoryFunction:
 
 class Herglotz(CaratheodoryFunction):
     """Kernel sum p(z) = i*im_p0 + sum_j w_j*(zeta_j+z)/(zeta_j-z) over
-    atoms (angle, weight > 0), at least one; angles are kept mod 2*pi.
+    atoms (angle, weight > 0), at least one; angles are kept in [0, 2*pi).
 
     p is rational with the poles zeta_j = e^{i*theta_j}; as Re p > 0 in the
     disc, its zeros eta_j = e^{i*psi_j} all lie on the circle
@@ -92,7 +92,8 @@ class Herglotz(CaratheodoryFunction):
                 raise InvalidMeasure(f"weight {w!r} must be strictly positive")
             if not math.isfinite(t):
                 raise InvalidMeasure(f"angle {t!r} must be finite")
-            norm.append((t % (2.0 * math.pi), w))
+            t %= TWO_PI  # exactly TWO_PI for tiny negative t: that is 0.0
+            norm.append((t if t < TWO_PI else 0.0, w))
         try:
             self.total_mass = math.fsum(w for _, w in norm)
         except OverflowError:
@@ -112,12 +113,14 @@ class Herglotz(CaratheodoryFunction):
 
     def _merged_atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct atom angles, sorted, and the summed weight at each,
-        less those whose weight / mass is 0.0: their pole and zero coincide."""
+        less those whose weight / mass is below 2^-1022: such an atom's pole
+        and zero lie within about the root of that share, so it moves no a_n
+        by more, far below the rounding of the sums it would reorder."""
         import numpy as np
         thetas, weights = np.array(self.atoms).T
         angles, index = np.unique(thetas, return_inverse=True)
         weights = np.bincount(index, weights=weights)
-        keep = weights / weights.sum() > 0.0
+        keep = weights / weights.sum() >= 2.0 ** -1022
         return angles[keep], weights[keep]
 
     def boundary_zeros(self) -> np.ndarray:

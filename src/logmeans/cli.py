@@ -18,6 +18,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -34,7 +35,7 @@ from .extremal import (
     star_sweep,
 )
 from .jsonio import atomic_write_text, dumps_canonical, format_float, int_str
-from .means import geometric_radii, parseval_means, quadrature_means
+from .means import fft_length, geometric_radii, parseval_means, quadrature_means
 from .specs import parse_function_spec
 
 H2_CEILING = math.pi ** 2 / 2.0
@@ -143,11 +144,11 @@ def _cmd_means(args) -> str:
         for r, value, tail in zip(radii, profile.values, profile.tail_bounds)
     ]
     if a.truncation_degree <= MAX_QUADRATURE_DEGREE:
-        # smallest power of two >= trunc+1: exact, and a fast FFT length.
+        # smallest 5-smooth length >= trunc+1: exact, and a fast FFT length.
         # Lacunary terms past trunc are dropped here, not in the Parseval
         # column, so quad_rel_err then measures them, not the routes.
         dense = p.log_taylor(trunc)  # from the cached coefficients
-        quad = quadrature_means(dense, radii, 1 << trunc.bit_length())
+        quad = quadrature_means(dense, radii, fft_length(trunc + 1))
         for row, value in zip(rows, quad):
             err = abs(value - row["I_parseval"]) / max(row["I_parseval"], 1e-30)
             row.update(I_quadrature=value, quad_rel_err=err)
@@ -264,9 +265,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's one parser, built on first use (about 1 ms); parsing leaves no state.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         text = args.run(args)
         _write_output(args.out, text)
     except ToolkitError as exc:

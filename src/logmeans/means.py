@@ -135,6 +135,18 @@ def parseval_means(
     return MeansProfile(tuple(radii), tuple(values), tuple(tails))
 
 
+def fft_length(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n, for n >= 1."""
+    best, five = 1 << (n - 1).bit_length(), 1
+    while five < best:
+        odd = five
+        while odd < best:
+            best = min(best, odd << ((n - 1) // odd).bit_length())
+            odd *= 3
+        five *= 5
+    return best
+
+
 def quadrature_means(
     f: DenseSeries, radii: Sequence[float], quadrature_points: int
 ) -> tuple[float, ...]:
@@ -143,10 +155,12 @@ def quadrature_means(
 
     Integrates |z*F'(z)|^2 with F the dense series f of degree N.  z*F' has
     frequencies 1..N only, so M samples alias none of them and the rule is
-    exact for the required quadrature_points >= N+1 (ValueError otherwise).
-    F comes from the same log-coefficients parseval_means sums, so this
-    route checks the FFT and the summation, not the coefficients; its
-    truncation tail is parseval_means'.
+    exact for the required quadrature_points >= N+1 (ValueError otherwise);
+    the CLI passes fft_length(N+1), the least 5-smooth such M, and one
+    forward FFT per radius takes the samples.  F comes from the same
+    log-coefficients parseval_means sums, so this route checks the FFT and
+    the summation, not the coefficients; its truncation tail is
+    parseval_means'.
     """
     import numpy as np
     _check_radii(radii)
@@ -157,9 +171,9 @@ def quadrature_means(
     g = n * f.coeffs  # z*F' has coefficients n*a_n
     values = []
     for r in radii:
-        # z*F' at the m-th roots of unity scaled by r: one zero-padded FFT
-        samples = np.fft.ifft(g * np.power(r, n), n=m)
-        samples *= m
+        # z*F' at r times the m-th roots of unity, in reverse order: one
+        # zero-padded forward FFT, unnormalised
+        samples = np.fft.fft(g * np.power(r, n), n=m)
         # |samples|^2 in place over the real and imaginary parts, summed pairwise
         parts = samples.view(np.float64)
         np.square(parts, out=parts)

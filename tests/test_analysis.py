@@ -247,6 +247,13 @@ class TestCorollaryReport:
         assert members["1:herglotz"]["pass"] is False
         assert members["1:herglotz"]["max_ratio"] > 1.0
 
+    @pytest.mark.parametrize("c", [1e-150, 1e-155, 1e-158, 1e-160, 1e-162])
+    def test_subnormal_means_pass_part_ii(self, c):
+        # (1-r)^2 * means and the decay bound fall below 2^-1022 here, where
+        # rounding is absolute and DECAY_SLACK alone failed 1e-155..1e-160
+        p = LacunaryExp(SparseSeries([(1, c)]))
+        assert corollary_report([p], Gauge(1.5)).parts["little_o"]["pass"] is True
+
     def test_report_deterministic(self, certified_suite):
         phi = Gauge(1.9)
         a = corollary_report(certified_suite, phi).to_json()

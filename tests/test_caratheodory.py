@@ -150,6 +150,15 @@ class TestHerglotz:
         assert type(p.im_p0) is float and p.im_p0 == -1.0
         assert p.total_mass == 2.5
 
+    def test_angle_just_below_zero_is_zero(self):
+        # -1e-20 % (2*pi) rounds to 2*pi itself; it is stored as 0.0, so the
+        # atoms share one angle and count once in the decay bound
+        split = Herglotz([(0.0, 1.0), (-1e-20, 1.0)])
+        whole = Herglotz([(0.0, 2.0)])
+        assert split.atoms == ((0.0, 1.0), (0.0, 1.0))
+        assert split.decay_bound(0.5) == whole.decay_bound(0.5)
+        assert split.log_coeffs(64).coeffs.tobytes() == whole.log_coeffs(64).coeffs.tobytes()
+
     @settings(max_examples=20, deadline=None)
     @given(st.floats(-math.pi, math.pi))
     def test_rotation_covariance(self, phi):

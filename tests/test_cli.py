@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logmeans import geometric_radii, parse_function_spec, quadrature_means
+from logmeans import cli, geometric_radii, parse_function_spec, quadrature_means
 from logmeans.cli import (
     MAX_ATOMS,
     MAX_QUADRATURE_DEGREE,
@@ -27,6 +27,7 @@ from logmeans.cli import (
 from logmeans.errors import ParseError
 from logmeans.extremal import MAX_KMAX
 from logmeans.jsonio import format_float, int_str
+from logmeans.means import fft_length
 from logmeans.specs import decode_spec
 
 MOBIUS = '{"type":"mobius"}'
@@ -55,8 +56,9 @@ THREE_ATOMS = {
     "im_p0": 0.25,
 }
 
-# N+1 on both sides of a power of two, up to the herglotz-means sizes
-QUADRATURE_TRUNCS = [255, 256, 2047, 2048, 16383, 16384]
+# N+1 on both sides of a power of two and of 2160 = 2^4*3^3*5, up to the
+# herglotz-means sizes
+QUADRATURE_TRUNCS = [255, 256, 2047, 2048, 2159, 2160, 16383, 16384]
 
 
 def run_cli(args, capsys):
@@ -184,7 +186,7 @@ class TestMeansCommand:
         assert code == 0
         p = parse_function_spec(THREE_ATOMS)
         radii = geometric_radii(0.5, 0.5, 20)
-        quad = quadrature_means(p.log_taylor(trunc), radii, 1 << trunc.bit_length())
+        quad = quadrature_means(p.log_taylor(trunc), radii, fft_length(trunc + 1))
         printed = [line.split(",")[3] for line in out.strip().split("\n")[1:]]
         assert printed == [format_float(v) for v in quad]
 
@@ -808,6 +810,39 @@ class TestDeterminism:
             "gauge_divergence",
             "least_exponent",
         }
+
+
+# Calls whose output could change if main's one parser kept state from the
+# call before: a format choice, a failed parse, a subcommand's defaults.
+PARSER_REUSE = {
+    "csv star after json star": [
+        ["star", "--kmax", "5", "--format", "json"],
+        ["star", "--kmax", "5"],
+    ],
+    "means after a malformed --trunc": [
+        ["means", "--spec", MOBIUS, "--trunc", "abc"],
+        ["means", "--spec", MOBIUS, "--trunc", "64"],
+    ],
+    "means after report": [
+        ["report", "--kmax-star", "8", "--kmax-gauge", "4"],
+        ["means", "--spec", MOBIUS, "--trunc", "64"],
+    ],
+}
+
+
+@pytest.mark.parametrize("sequence", list(PARSER_REUSE.values()), ids=list(PARSER_REUSE))
+def test_reused_parser_prints_what_a_fresh_one_does(sequence, capsys):
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(argv, capsys))
+    cli._parser.cache_clear()
+    assert [run_cli(argv, capsys) for argv in sequence] == fresh
+    assert cli._parser.cache_info().misses == 1
+    if "abc" in sequence[0]:
+        assert fresh[0][0] == 2
+        assert json.loads(fresh[0][2])["error"]["name"] == "ParseError"
+    assert fresh[-1][0] == 0
 
 
 class TestOutputContract:

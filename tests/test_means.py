@@ -20,7 +20,8 @@ from logmeans import (
     quadrature_means,
     tail_bound,
 )
-from logmeans.means import parseval_log_value_at_inv_n
+from logmeans.cli import MAX_TRUNC
+from logmeans.means import fft_length, parseval_log_value_at_inv_n
 
 PI = math.pi
 
@@ -120,6 +121,23 @@ class TestQuadrature:
         small = quadrature_means(f, [0.6], 128 + 1)
         large = quadrature_means(f, [0.6], 4096)
         assert small[0] == pytest.approx(large[0], rel=1e-13)
+
+    def test_fft_length_is_smallest_five_smooth(self):
+        # trial division marks every 5-smooth m up to 2^17, which holds the
+        # answer for every n <= 70,000; a backward sweep gives the next >= n
+        limit = 70_000
+        assert MAX_TRUNC + 1 <= limit
+        top = 2 ** 17
+        smooth = []
+        for m in range(1, top + 1):
+            for prime in (2, 3, 5):
+                while m % prime == 0:
+                    m //= prime
+            smooth.append(m == 1)
+        expected = [top] * (top + 1)
+        for m in range(top - 1, 0, -1):
+            expected[m] = m if smooth[m - 1] else expected[m + 1]
+        assert [fft_length(n) for n in range(1, limit + 1)] == expected[1:limit + 1]
 
     def test_too_few_points_rejected(self):
         # below N+1 points the zero-padded FFT would drop coefficients

@@ -76,6 +76,8 @@ def test_traced_commands_record_their_spans(tmp_path, capsys):
     names = {span[0] for span in tracer.spans}
     assert sorted(MAIN_SPANS - names) == []
     assert tracer.counts["means.quadrature_means.points"] > 0
+    # --trunc 64 needs 65 = 5*13 points; the rule rounds up to a 5-smooth M
+    assert tracer.counts["max:means.quadrature_means.fft_max_prime"] <= 5
     assert tracer.counts["max:extremal.schedule.bits_max"] > 0
     assert tracer.counts["numerics.gap_from_inv_n.calls"] > 0
 
